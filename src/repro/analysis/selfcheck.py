@@ -17,7 +17,9 @@ if the analysis subsystem ever rots.  Four legs:
    parallel-tempering search then writes a segment journal that must
    pass AD601 + AD604, and seeded exchange-history corruptions
    (non-neighbor swap, decreasing sequence, duplicated replica id)
-   must each trip AD604;
+   must each trip AD604; that journal's final record is then torn twice
+   across two resumes, and it must stay AD601 + AD604 clean with the
+   clean run's decisions and no committed record lost;
 3. **Seeded negatives** — deliberately corrupted copies of those same
    artifacts (dependency swap, duplicate engine, phantom edge, corrupted
    search trace, broken retry annotations, tampered journal, duplicated
@@ -45,6 +47,7 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import repro
 from repro.analysis.artifacts import validate_artifacts, validate_outcome
@@ -115,6 +118,14 @@ def _swap_dependency(schedule: Schedule) -> Schedule:
         for t, r in enumerate(rounds)
     ]
     return Schedule(rounds=rebuilt)
+
+
+def _tear_final_record(path: Path, keep: Callable[[int], int]) -> None:
+    """Leave ``path`` as a writer killed mid-append would: only the first
+    ``keep(n)`` bytes of its final ``n``-byte record survive."""
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[: start + keep(len(data) - start)])
 
 
 def _expect(
@@ -313,6 +324,36 @@ def run_self_check() -> tuple[bool, str]:
             lines,
         )
 
+        # Repeated-crash resume: tear the final record twice (a mid-line
+        # fragment, then a record without its newline), resuming after
+        # each; a last resume must then restore every candidate, with the
+        # journal AD601 + AD604 clean and decisions unmoved.
+        resume = replace(
+            options, rungs=3, exchange_every=4, checkpoint=pt_journal,
+            resume=True,
+        )
+        runs = []
+        for keep in (lambda n: n // 2, lambda n: n - 1, None):
+            if keep is not None:
+                _tear_final_record(Path(pt_journal), keep)
+            runs.append(
+                AtomicDataflowOptimizer(
+                    get_model(SELF_CHECK_MODELS[0]), arch, resume
+                ).optimize()
+            )
+        torn_report = check_checkpoint_journal(pt_journal)
+        check_tempering_journal(pt_journal, torn_report)
+        passed &= _expect_clean("torn-tail resumes journal", torn_report, lines)
+        stats = runs[-1].search_stats
+        same = all(decisions(run) == decisions(pt) for run in runs)
+        kept = stats.restored == stats.evaluated
+        passed &= same and kept
+        lines.append(
+            f"{'ok  ' if same and kept else 'FAIL'} torn-tail resumes: "
+            f"decisions {'identical' if same else 'DIVERGED'}, "
+            f"{stats.restored}/{stats.evaluated} candidate(s) restored"
+        )
+
     # Seeded AD6xx trace negatives: a candidate with two verdicts, and a
     # retry annotation the search could never have produced.
     two_verdicts = (
@@ -509,13 +550,13 @@ def run_self_check() -> tuple[bool, str]:
         check_job_leases(journal_path, clean_journal)
         passed &= _expect_clean("service job journal", clean_journal, lines)
 
-        with open(journal_path, "a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"event": "running", "job": job.advanced("running").to_dict()}
-                )
-                + "\n"
-            )
+        post_terminal = {"event": "running", "job": job.advanced("running").to_dict()}
+        journal_path.write_text(
+            journal_path.read_text(encoding="utf-8")
+            + json.dumps(post_terminal)
+            + "\n",
+            encoding="utf-8",
+        )
         passed &= _expect(
             "seeded post-terminal job transition",
             check_job_journal(journal_path),

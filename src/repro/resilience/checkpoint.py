@@ -2,33 +2,27 @@
 
 A journal records every candidate the search *finished* evaluating, so a
 crashed or interrupted run resumes by re-evaluating zero completed
-candidates.  The format is deliberately dumb — one JSON object per line,
-flushed after every append — because the writer may die at any byte:
+candidates.  It is a :class:`repro.journal.Journal`:
 
-* line 1 is a header ``{"format": ..., "version": ..., "key": {...}}``
-  where ``key`` captures everything that determines the candidate set
-  and its results (workload, architecture, seed, restarts, search
+* the header carries ``key``, everything that determines the candidate
+  set and its results (workload, architecture, seed, restarts, search
   knobs).  A resume against a journal whose key differs is refused
   (:class:`CheckpointError`) rather than silently mixing two searches;
 * every further line is one completed-candidate record (shape owned by
   :mod:`repro.pipeline`, which also re-verifies each record's tiling
   fingerprint on restore — a record this module accepts is *syntactically*
-  sound, not yet trusted);
-* a truncated **final** line (the write the crash interrupted) is
-  dropped silently; a malformed line anywhere *else* means the file is
-  not a journal and raises :class:`CheckpointError`.
-
-The journal never rewrites or compacts: resuming appends to the same
-file, so one file accumulates the full history of a search across any
-number of interruptions.
+  sound, not yet trusted).  A record commits once its newline is on disk
+  and it carries a candidate label; a torn final line is truncated on
+  resume.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from typing import Any
+
+from repro.journal import Journal
 
 #: Format tag in the journal header; bump :data:`CHECKPOINT_VERSION` on
 #: any record-shape change.
@@ -38,6 +32,13 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(ValueError):
     """The journal cannot be used: wrong format, version, or search key."""
+
+
+def _labeled(record: dict[str, Any]) -> dict[str, Any]:
+    label = record.get("label")
+    if not isinstance(label, str) or not label:
+        raise ValueError("record has no candidate label")
+    return record
 
 
 class CheckpointJournal:
@@ -59,7 +60,15 @@ class CheckpointJournal:
     def __init__(self, path: str | os.PathLike, key: dict[str, Any]) -> None:
         self.path = os.fspath(path)
         self.key = json.loads(json.dumps(key))
-        self._fh: io.TextIOBase | None = None
+        self._journal = Journal(
+            self.path,
+            format=CHECKPOINT_FORMAT,
+            versions=(CHECKPOINT_VERSION,),
+            noun="checkpoint journal",
+            error=CheckpointError,
+            decode=_labeled,
+            check_header=self._check_key,
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -74,32 +83,23 @@ class CheckpointJournal:
 
         Returns:
             Completed-candidate records keyed by spec label (empty for a
-            fresh journal).
+            fresh journal; the newest record wins for a repeated label).
 
         Raises:
             CheckpointError: The existing file is not a journal, has an
                 incompatible version, or was written by a search with a
                 different key.
         """
-        records: dict[str, dict[str, Any]] = {}
-        fresh = not (resume and os.path.exists(self.path))
-        if not fresh:
-            records = self._load()
-        self._fh = open(self.path, "w" if fresh else "a", encoding="utf-8")
-        if fresh:
-            self._write_line(
-                {
-                    "format": CHECKPOINT_FORMAT,
-                    "version": CHECKPOINT_VERSION,
-                    "key": self.key,
-                }
-            )
-        return records
+        header = {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            "key": self.key,
+        }
+        records = self._journal.open(header, resume=resume)
+        return {record["label"]: record for record in records}
 
     def close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
+        self._journal.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self
@@ -107,71 +107,11 @@ class CheckpointJournal:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- appends -----------------------------------------------------------
-
     def append(self, record: dict[str, Any]) -> None:
         """Durably append one completed-candidate record."""
-        if self._fh is None:
-            raise RuntimeError("journal is not open")
-        self._write_line(record)
+        self._journal.append(record)
 
-    def _write_line(self, obj: dict[str, Any]) -> None:
-        assert self._fh is not None
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    # -- restore -----------------------------------------------------------
-
-    def _load(self) -> dict[str, dict[str, Any]]:
-        with open(self.path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise CheckpointError(f"{self.path}: empty checkpoint file")
-        self._check_header(self._parse(lines[0], line_no=1, final=False))
-        records: dict[str, dict[str, Any]] = {}
-        last = len(lines) - 1
-        for i, line in enumerate(lines[1:], start=1):
-            record = self._parse(line, line_no=i + 1, final=i == last)
-            if record is None:
-                continue  # the torn final write of an interrupted run
-            label = record.get("label")
-            if not isinstance(label, str) or not label:
-                if i == last:
-                    continue
-                raise CheckpointError(
-                    f"{self.path}:{i + 1}: record has no candidate label"
-                )
-            records[label] = record
-        return records
-
-    def _parse(
-        self, line: str, line_no: int, final: bool
-    ) -> dict[str, Any] | None:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict):
-            return obj
-        if final:
-            return None
-        raise CheckpointError(
-            f"{self.path}:{line_no}: not a JSON object — corrupt journal"
-        )
-
-    def _check_header(self, header: dict[str, Any] | None) -> None:
-        if header is None or header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"{self.path}: not an {CHECKPOINT_FORMAT} journal"
-            )
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{self.path}: unsupported checkpoint version "
-                f"{header.get('version')!r} (expected {CHECKPOINT_VERSION})"
-            )
+    def _check_key(self, header: dict[str, Any]) -> None:
         if header.get("key") != self.key:
             raise CheckpointError(
                 f"{self.path}: checkpoint was written by a different search "

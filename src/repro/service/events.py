@@ -4,10 +4,9 @@ The daemon appends one JSON line to ``events.jsonl`` for every
 externally meaningful thing that happens to a job — ``submit``,
 ``lease``, ``requeue``/``reclaim``, ``complete`` — each carrying the
 job's ``trace_id``, a strictly increasing ``seq``, and kind-specific
-fields (tenant, runner, attempt, reason...).  The log follows the same
-journal discipline as :class:`~repro.service.jobs.JobJournal`: a header
-line, flush + fsync per append, and a torn final line truncated on
-reopen.
+fields (tenant, runner, attempt, reason...).  The log is a
+:class:`repro.journal.Journal`, like the job journal: a torn final line
+is truncated on reopen.
 
 The log is *derived* observability data; the job journal stays the
 source of truth.  Their agreement is a checkable invariant (AD807 in
@@ -26,12 +25,12 @@ This module also pins the on-disk format of per-job trace documents
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from typing import Any, Mapping
 
-from repro.resilience.faults import InjectedRunnerDeath, ServiceFaultPlan
+from repro.journal import Journal
+from repro.resilience.faults import ServiceFaultPlan
 
 #: Format tag in the event-log header.
 EVENTS_FORMAT = "atomic-dataflow-service-events"
@@ -59,6 +58,20 @@ def event_class(kind: str) -> str:
     return "requeue" if kind in REQUEUE_KINDS else kind
 
 
+def _event_journal(
+    path: str | os.PathLike, faults: ServiceFaultPlan | None = None
+) -> Journal:
+    return Journal(
+        path,
+        format=EVENTS_FORMAT,
+        versions=(EVENTS_VERSION,),
+        noun="event log",
+        error=EventLogError,
+        faults=faults,
+        tear_fault="torn-events",
+    )
+
+
 class EventLog:
     """Append-only JSONL log of service events (journal discipline).
 
@@ -81,19 +94,20 @@ class EventLog:
         faults: ServiceFaultPlan | None = None,
     ) -> None:
         self.path = os.fspath(path)
-        self.faults = faults
-        self.header: dict[str, Any] = {}
-        self._fh: io.TextIOBase | None = None
+        self._journal = _event_journal(self.path, faults)
         self._seq = 0
         self._events: list[dict[str, Any]] = []
 
-    # -- lifecycle ---------------------------------------------------------
+    @property
+    def header(self) -> dict[str, Any]:
+        """The log header (this file's own, once opened)."""
+        return self._journal.header
 
     @property
     def closed(self) -> bool:
         """True when the log cannot accept appends (never opened,
         explicitly closed, or killed by an injected torn write)."""
-        return self._fh is None
+        return self._journal.closed
 
     def open(
         self, header_extras: Mapping[str, Any] | None = None
@@ -103,26 +117,17 @@ class EventLog:
         An existing log has its torn final line (if any) truncated and
         the ``seq`` counter resumed past the highest replayed value.
         """
-        fresh = not os.path.exists(self.path)
-        if not fresh:
-            self._load()
-            if self._keep_bytes is not None:
-                with open(self.path, "r+b") as raw:
-                    raw.truncate(self._keep_bytes)
-        self._fh = open(self.path, "a" if not fresh else "w", encoding="utf-8")
-        if fresh:
-            self.header = {"format": EVENTS_FORMAT, "version": EVENTS_VERSION}
-            for key, value in sorted((header_extras or {}).items()):
-                self.header.setdefault(key, value)
-            self._write_line_text(json.dumps(self.header, sort_keys=True))
+        header = {
+            **(header_extras or {}),
+            "format": EVENTS_FORMAT,
+            "version": EVENTS_VERSION,
+        }
+        self._events = self._journal.open(header)
+        self._seq = max((int(e.get("seq", 0)) for e in self._events), default=0)
         return list(self._events)
 
     def close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
-
-    # -- appends -----------------------------------------------------------
+        self._journal.close()
 
     def append(
         self,
@@ -132,7 +137,7 @@ class EventLog:
         **fields: Any,
     ) -> dict[str, Any]:
         """Durably append one event; returns the written record."""
-        if self._fh is None:
+        if self._journal.closed:
             raise RuntimeError("event log is not open")
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
@@ -146,35 +151,9 @@ class EventLog:
         for key, value in fields.items():
             if value is not None:
                 event[key] = value
-        line = json.dumps(event, sort_keys=True)
-        if self.faults is not None and self.faults.take("torn-events") is not None:
-            fh, self._fh = self._fh, None  # the log dies with the write
-            fh.write(line[: max(1, len(line) // 2)])
-            fh.flush()
-            os.fsync(fh.fileno())
-            fh.close()
-            raise InjectedRunnerDeath(
-                f"injected torn event append @ {kind} {job_id}"
-            )
-        self._write_line_text(line)
+        self._journal.append(event, what=f"{kind} {job_id}")
         self._events.append(event)
         return event
-
-    def _write_line_text(self, line: str) -> None:
-        assert self._fh is not None
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    # -- replay ------------------------------------------------------------
-
-    def _load(self) -> None:
-        self._keep_bytes: int | None = None
-        header, events, keep_bytes = _read_event_lines(self.path)
-        self.header = header
-        self._events = events
-        self._keep_bytes = keep_bytes
-        self._seq = max((int(e.get("seq", 0)) for e in events), default=0)
 
     # -- restart reconciliation --------------------------------------------
 
@@ -188,7 +167,7 @@ class EventLog:
         that is corruption for AD807 to flag, not a crash window to
         repair.  Returns the number of events appended.
         """
-        if self._fh is None:
+        if self._journal.closed:
             raise RuntimeError("event log is not open")
         expected = expected_events(journal_path)
         actual: dict[str, list[dict[str, Any]]] = {}
@@ -226,61 +205,8 @@ def read_events(
     Raises:
         EventLogError: Missing/alien header or a corrupt non-final line.
     """
-    header, events, _ = _read_event_lines(path)
+    header, events, _ = _event_journal(path).replay()
     return header, events
-
-
-def _read_event_lines(
-    path: str | os.PathLike,
-) -> tuple[dict[str, Any], list[dict[str, Any]], int | None]:
-    path = os.fspath(path)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise EventLogError(f"{path}: empty event log")
-    header = _parse_line(path, lines[0], line_no=1, final=False)
-    if header is None or header.get("format") != EVENTS_FORMAT:
-        raise EventLogError(f"{path}: not a {EVENTS_FORMAT} log")
-    if header.get("version") != EVENTS_VERSION:
-        raise EventLogError(
-            f"{path}: unsupported event log version "
-            f"{header.get('version')!r} (expected {EVENTS_VERSION})"
-        )
-    events: list[dict[str, Any]] = []
-    keep_bytes: int | None = None
-    last = len(lines) - 1
-    for i, line in enumerate(lines[1:], start=1):
-        obj = _parse_line(path, line, line_no=i + 1, final=i == last)
-        if obj is None:
-            # Torn final write of a killed daemon: compute the byte
-            # offset of the last whole line so open() can truncate.
-            keep = text
-            if keep.endswith("\n"):
-                keep = keep[:-1]
-            keep = keep[: len(keep) - len(lines[last])]
-            keep_bytes = len(keep.encode("utf-8"))
-            continue
-        events.append(obj)
-    return header, events, keep_bytes
-
-
-def _parse_line(
-    path: str, line: str, line_no: int, final: bool
-) -> dict[str, Any] | None:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict):
-        return obj
-    if final:
-        return None
-    raise EventLogError(
-        f"{path}:{line_no}: not a JSON object — corrupt event log"
-    )
 
 
 def expected_events(
