@@ -305,11 +305,13 @@ class AtomGenerator:
             n.node_id: {} for n in self._compute_nodes
         }
         # Axis-sweep memo: (axis, fixed-coeffs-without-axis) -> the ladder's
-        # (cycles, utils) arrays, so converged SA iterations skip even the
-        # per-candidate lattice lookups.
-        self._axis_memo: dict[int, dict[tuple, tuple[np.ndarray, np.ndarray]]] = {
-            n.node_id: {} for n in self._compute_nodes
-        }
+        # (cycles, 1 - util) tuples, so converged SA iterations skip even
+        # the per-candidate lattice lookups.  Every value here is a tuple
+        # of numbers, which CPython stops GC-tracking: a generator shared
+        # across searches must not lengthen every later full collection.
+        self._axis_memo: dict[
+            int, dict[tuple, tuple[tuple[int, ...], tuple[float, ...]]]
+        ] = {n.node_id: {} for n in self._compute_nodes}
         self._count_cache: dict[int, dict[Coeffs, int]] = {
             n.node_id: {} for n in self._compute_nodes
         }
@@ -418,8 +420,8 @@ class AtomGenerator:
 
     def _axis_costs(
         self, node: Node, k: int, best: Coeffs
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(cycles, utils) arrays over axis ``k``'s full candidate ladder.
+    ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(cycles, 1 - util) over axis ``k``'s full candidate ladder.
 
         Candidates are ``best`` with coordinate ``k`` replaced by each
         ladder value; memoized on (axis, remaining coordinates).
@@ -441,8 +443,8 @@ class AtomGenerator:
             self.cost_model.cache_hits += len(cands)
         entries = [lattice[c] for c in cands]
         result = (
-            np.array([e[0] for e in entries], dtype=np.int64),
-            np.array([e[1] for e in entries], dtype=float),
+            tuple(e[0] for e in entries),
+            tuple(1.0 - e[1] for e in entries),
         )
         memo[(k, rest)] = result
         return result
@@ -460,29 +462,25 @@ class AtomGenerator:
         ladders = self._ladders[node.node_id]
         cycles0, util0 = self.atom_cost(node, start)
         best = start
-        # One score is |cycles - S| plus the utilization penalty; the
-        # (penalty * target) product is grouped exactly as the scalar
-        # expression associated, keeping floats bit-identical.
-        best_gap = abs(cycles0 - target) + (_UTIL_PENALTY * target) * (
-            1.0 - util0
-        )
+        # One score is |cycles - S| plus the utilization penalty; grouping
+        # (penalty * target) first keeps floats bit-identical to the scalar
+        # oracle's expression.
+        weight = _UTIL_PENALTY * target
+        best_gap = abs(cycles0 - target) + weight * (1.0 - util0)
         for _ in range(_FIT_SWEEPS):
             improved = False
             for k in range(4):
-                cycles, utils = self._axis_costs(node, k, best)
-                gaps = np.abs(cycles - target) + (_UTIL_PENALTY * target) * (
-                    1.0 - utils
-                )
-                # The scalar sweep accepted on strict improvement in ladder
-                # order, which lands on the first index attaining the
-                # minimum — np.argmin's first-occurrence rule.  Candidates
-                # equal to the incumbent score exactly, so they never pass
-                # the strict comparison.
-                j = int(np.argmin(gaps))
-                gap = float(gaps[j])
-                if gap < best_gap:
-                    best = best[:k] + (ladders[k][j],) + best[k + 1:]
-                    best_gap = gap
+                cycles, slack = self._axis_costs(node, k, best)
+                # Ladder order with strict-< acceptance from the incumbent
+                # score lands on the first index attaining the minimum;
+                # candidates merely equal to the incumbent never win.
+                pick = -1
+                for j, (c, s) in enumerate(zip(cycles, slack)):
+                    gap = abs(c - target) + weight * s
+                    if gap < best_gap:
+                        pick, best_gap = j, gap
+                if pick >= 0:
+                    best = best[:k] + (ladders[k][pick],) + best[k + 1:]
                     improved = True
             if not improved:
                 break
@@ -727,11 +725,12 @@ class AtomGenerator:
         self,
         params: SAParams = SAParams(),
         parallel_hint: int | None = None,
+        rng: np.random.Generator | None = None,
     ) -> GenerationResult:
         """Run Algorithm 1 and return the balanced tiling.
 
         A thin wrapper over the resumable stepper: one rung, initialized
-        from this generator's own RNG stream and stepped to completion.
+        and stepped to completion.
 
         Args:
             params: Annealing hyperparameters.
@@ -740,8 +739,9 @@ class AtomGenerator:
                 atoms before annealing, so balance converges around a
                 granularity fine enough to occupy every engine; omitted
                 (Algorithm 1 verbatim), seeding is random.
+            rng: The chain's random stream; defaults to the generator's.
         """
-        state = self.init_rung(params, parallel_hint=parallel_hint)
+        state = self.init_rung(params, rng=rng, parallel_hint=parallel_hint)
         with get_tracer().span(
             "sa.anneal",
             category="sa",

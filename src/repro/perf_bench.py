@@ -7,7 +7,9 @@ serial evaluation, on the paper's default 8x8 platform.  The committed
 benchmark with ``--check`` against that file and fails when
 
 * the search result drifts at all (``total_cycles`` or the winning
-  candidate's fingerprint — the refactor's bit-exactness contract), or
+  candidate's fingerprint — the refactor's bit-exactness contract),
+* the evaluation window's cost-kernel counters drift (they are
+  bit-exact, so tiling pricing leaking into evaluation shows here), or
 * wall time regresses more than ``--threshold`` (default 25%) over the
   committed measurement.
 
@@ -64,6 +66,10 @@ def run_pinned_search(restarts: int, seed: int) -> dict:
             "batch_calls": sum(t.kernel_batch_calls for t in outcome.traces),
             "batch_rows": sum(t.kernel_batch_rows for t in outcome.traces),
         },
+        "stage_seconds": {
+            stage: round(seconds, 3)
+            for stage, seconds in stats.stage_seconds.items()
+        },
         "scalar_baseline_wall_seconds": SCALAR_BASELINE_WALL_SECONDS,
         "speedup_vs_scalar_baseline": round(
             SCALAR_BASELINE_WALL_SECONDS / wall, 2
@@ -83,6 +89,11 @@ def check_against(report: dict, reference: dict, threshold: float) -> list[str]:
         problems.append(
             f"winner drifted: {report['winner']} != "
             f"committed {reference['winner']}"
+        )
+    if report["cost_kernel"] != reference["cost_kernel"]:
+        problems.append(
+            f"cost_kernel drifted: {report['cost_kernel']} != "
+            f"committed {reference['cost_kernel']}"
         )
     limit = reference["wall_seconds"] * (1.0 + threshold)
     if report["wall_seconds"] > limit:
@@ -107,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="compare against the committed --out file instead of "
-        "rewriting it; exit 1 on result drift or wall-time regression",
+        "rewriting it; exit 1 on result or cost-kernel drift or wall-time "
+        "regression",
     )
     parser.add_argument(
         "--threshold", type=float, default=0.25,
@@ -132,6 +144,15 @@ def main(argv: list[str] | None = None) -> int:
         f"({report['candidates_per_second']:.2f} cand/s), "
         f"total_cycles={report['total_cycles']}, "
         f"{report['speedup_vs_scalar_baseline']:.2f}x vs scalar baseline"
+    )
+    print(
+        "stages: " + ", ".join(
+            f"{stage} {seconds:.2f}s"
+            for stage, seconds in report["stage_seconds"].items()
+        )
+        + "; cost_kernel {batch_calls}/{batch_rows}".format(
+            **report["cost_kernel"]
+        )
     )
 
     if args.check:

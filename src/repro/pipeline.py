@@ -547,9 +547,8 @@ class SATilingStage(TilingStage):
     ) -> tuple[dict[int, TileSize], float | None]:
         if rng is None:
             raise ValueError("SATilingStage requires an RNG")
-        generator = AtomGenerator(ctx.graph, ctx.cost_model, rng=rng)
-        gen = generator.generate_sa(
-            self.params, parallel_hint=ctx.num_engines
+        gen = search_generator(ctx).generate_sa(
+            self.params, parallel_hint=ctx.num_engines, rng=rng
         )
         return gen.tiling, gen.energy
 
@@ -901,6 +900,23 @@ class _WorkerState(threading.local):
 
 
 _WORKER_STATE = _WorkerState()
+
+
+def search_generator(ctx: SearchContext) -> AtomGenerator:
+    """This thread's tiling generator for ``ctx``, shared by every SA
+    restart and tempering rung the thread anneals over it.
+
+    Speed only: its cost lattice memoizes a pure ``(layer, coeffs) ->
+    (cycles, util)`` function, so a cold cache changes nothing, and every
+    chain brings its own RNG stream.
+    """
+    cached = _WORKER_STATE.get("generator")
+    if cached is not None and cached[0] is ctx:
+        return cached[1]
+    generator = AtomGenerator(ctx.graph, ctx.cost_model)
+    # static-ok: LINT011 -- per-process memo of a pure-value lattice; a cold cache changes nothing
+    _WORKER_STATE["generator"] = (ctx, generator)
+    return generator
 
 
 def _init_worker(ctx: SearchContext, profile: bool = False) -> None:

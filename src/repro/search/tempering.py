@@ -49,7 +49,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.atoms.generation import (
-    AtomGenerator,
     GenerationResult,
     RungState,
     SAParams,
@@ -235,25 +234,9 @@ class _SegmentOutcome:
     result: GenerationResult | None = None
 
 
-def _rung_generator(ctx: Any) -> AtomGenerator:
-    """The worker's cached generator for ``ctx`` (speed only: its cost
-    lattice memoizes pure values, so a cold cache changes nothing)."""
-    from repro.pipeline import _WORKER_STATE
-
-    cached = _WORKER_STATE.get("pt_generator")
-    if cached is not None and cached[0] is ctx:
-        return cached[1]
-    generator = AtomGenerator(
-        ctx.graph, ctx.cost_model, rng=np.random.default_rng(0)
-    )
-    # static-ok: LINT011 -- per-process memo of a pure-value lattice; a cold cache changes nothing
-    _WORKER_STATE["pt_generator"] = (ctx, generator)
-    return generator
-
-
 def _run_segment(attempt: int, item: _SegmentItem):
     """Task: advance one rung by one segment (init on segment 0)."""
-    from repro.pipeline import _WORKER_STATE, _wrap_obs
+    from repro.pipeline import _WORKER_STATE, _wrap_obs, search_generator
 
     ctx = _WORKER_STATE["ctx"]
     if item.faults is not None:
@@ -263,7 +246,7 @@ def _run_segment(attempt: int, item: _SegmentItem):
         "executor.attempt", category="resilience",
         task=f"pt[{item.rung}]", attempt=attempt,
     ):
-        generator = _rung_generator(ctx)
+        generator = search_generator(ctx)
         with get_tracer().span(
             "sa.rung", category="sa",
             rung=item.rung, segment=item.segment, steps=item.steps,

@@ -91,6 +91,59 @@ class TestSA:
             assert cycles < 10**12  # feasible seed exists for each layer
 
 
+class TestSharedGenerator:
+    """A search anneals every restart and rung on one generator, so its
+    cost lattice and axis memo must never change an answer."""
+
+    @staticmethod
+    def _fresh():
+        engine = EngineConfig(pe_rows=8, pe_cols=8, buffer_bytes=32 * 1024)
+        return AtomGenerator(
+            _small_net(), EngineCostModel(engine, get_dataflow("kc"))
+        )
+
+    @pytest.mark.parametrize("hint", [8, None])
+    def test_warm_generator_matches_fresh(self, hint):
+        warm = self._fresh()
+        warm.generate_sa(
+            SAParams(max_iterations=25, temperature=4.0, schedule="linear"),
+            parallel_hint=4,
+            rng=np.random.default_rng(99),
+        )
+        warm.generate_sa(
+            SAParams(max_iterations=25, cooling=0.9),
+            parallel_hint=None,
+            rng=np.random.default_rng(5),
+        )
+        assert any(warm._cost_lattice.values())
+        assert any(warm._axis_memo.values())
+
+        params = SAParams(max_iterations=40)
+        got = warm.generate_sa(
+            params, parallel_hint=hint, rng=np.random.default_rng(1)
+        )
+        want = self._fresh().generate_sa(
+            params, parallel_hint=hint, rng=np.random.default_rng(1)
+        )
+        assert got.tiling == want.tiling
+        assert got.energy == want.energy
+        assert got.history == want.history
+        assert got.layer_cycles == want.layer_cycles
+
+    def test_rng_argument_is_the_chain_stream(self):
+        """``rng=`` drives the chain; the generator's own stream is unused."""
+        engine = EngineConfig(pe_rows=8, pe_cols=8, buffer_bytes=32 * 1024)
+        cm = EngineCostModel(engine, get_dataflow("kc"))
+        own = AtomGenerator(_small_net(), cm, rng=np.random.default_rng(3))
+        passed = self._fresh()
+        params = SAParams(max_iterations=20)
+        before = passed.rng.bit_generator.state
+        assert passed.generate_sa(
+            params, rng=np.random.default_rng(3)
+        ).tiling == own.generate_sa(params).tiling
+        assert passed.rng.bit_generator.state == before
+
+
 class TestGA:
     def test_ga_improves_over_generations(self, generator):
         res = generator.generate_ga(GAParams(generations=15, population=10))

@@ -11,11 +11,19 @@ quotient is exact in both the scalar (``math.ceil(a / b)``) and the
 vectorized (``np.ceil(a / b)``) paths — the regime the kernel documents.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.atoms.generation import _FIT_SWEEPS, _UTIL_PENALTY, AtomGenerator
+from repro.atoms.generation import (
+    _FIT_SWEEPS,
+    _INFEASIBLE_CYCLES,
+    _UTIL_PENALTY,
+    AtomGenerator,
+    SAParams,
+)
 from repro.config import EngineConfig
 from repro.engine import EngineCostModel, get_dataflow
 from repro.engine.batch import region_bounds
@@ -117,7 +125,9 @@ class TestScalarBatchEquivalence:
             assert arrays.cost_at(i) == cm.cost(op, in_shapes, region)
 
 
-def _make_generator(df: str, seed: int) -> AtomGenerator:
+def _make_generator(
+    df: str, seed: int, buffer_bytes: int = EngineConfig().buffer_bytes
+) -> AtomGenerator:
     b = GraphBuilder(name="sa_prop")
     x = b.input(14, 14, 8)
     c1 = b.conv(x, 16, kernel=3, name="c1")
@@ -125,8 +135,23 @@ def _make_generator(df: str, seed: int) -> AtomGenerator:
     b.conv(c2, 24, kernel=1, name="c3")
     return AtomGenerator(
         b.build(),
-        EngineCostModel(EngineConfig(), get_dataflow(df)),
+        EngineCostModel(
+            EngineConfig(buffer_bytes=buffer_bytes), get_dataflow(df)
+        ),
         rng=np.random.default_rng(seed),
+    )
+
+
+def _warm(gen: AtomGenerator) -> None:
+    """Anneal unrelated chains on ``gen`` so its lattice and axis memo
+    are populated, as a search's shared generator is by earlier chains."""
+    gen.generate_sa(
+        SAParams(max_iterations=6, temperature=3.0, schedule="linear"),
+        parallel_hint=4,
+        rng=np.random.default_rng(12345),
+    )
+    gen.generate_sa(
+        SAParams(max_iterations=6), rng=np.random.default_rng(54321)
     )
 
 
@@ -153,21 +178,77 @@ def _reference_fit(gen, node, start, target):
     return best
 
 
+#: A small buffer makes part of every layer's lattice infeasible.
+buffers = st.sampled_from([EngineConfig().buffer_bytes, 2048])
+#: Few distinct costs, so many candidates score exactly equal: the same
+#: (cycles, util) repeats, and cycles either side of a target tie too.
+tie_cycles = st.sampled_from([100, 200, 300, _INFEASIBLE_CYCLES])
+tie_utils = st.sampled_from([0.0, 0.5, 1.0])
+tie_targets = st.sampled_from([100.0, 150.0, 200.0, 250.0, 1e12])
+
+
+def _inject_lattice(gen, cycles, utils) -> None:
+    """Replace every lattice point with a value from small tables."""
+    for node in gen._compute_nodes:
+        lattice = gen._cost_lattice[node.node_id]
+        for coeffs in itertools.product(*gen._ladders[node.node_id]):
+            i = sum((j + 1) * c for j, c in enumerate(coeffs))
+            lattice[coeffs] = (cycles[i % len(cycles)], utils[i % len(utils)])
+
+
 class TestSADeltaCostEquivalence:
     @given(
         st.sampled_from(["kc", "yx"]),
         st.integers(0, 2**32 - 1),
         st.floats(min_value=1.0, max_value=1e6),
+        buffers,
+        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_vectorized_fit_matches_scalar_sweep(self, df, seed, target):
-        gen = _make_generator(df, seed)
-        ref = _make_generator(df, seed)
+    def test_vectorized_fit_matches_scalar_sweep(
+        self, df, seed, target, buffer_bytes, warm
+    ):
+        """The plain-Python sweep equals the scalar oracle, on a fresh
+        generator and on one warmed by other chains (the shared case)."""
+        gen = _make_generator(df, seed, buffer_bytes)
+        ref = _make_generator(df, seed, buffer_bytes)
+        if warm:
+            _warm(gen)
         for node in gen._compute_nodes:
-            start = gen._random_coeffs(node)
+            start = ref._random_coeffs(node)
             assert gen._fit_layer_to_state(node, start, target) == _reference_fit(
                 ref, node, start, target
             )
+
+    @given(
+        st.sampled_from(["kc", "yx"]),
+        st.integers(0, 2**32 - 1),
+        st.lists(tie_cycles, min_size=1, max_size=5),
+        st.lists(tie_utils, min_size=1, max_size=3),
+        st.lists(tie_targets, min_size=1, max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fit_ties_and_infeasible_rows_match_scalar_sweep(
+        self, df, seed, cycles, utils, targets, warm
+    ):
+        """Equal-gap candidates resolve to the first in ladder order, and
+        infeasible (10**12-cycle) rows lose unless the target sits there."""
+        gen = _make_generator(df, seed)
+        ref = _make_generator(df, seed)
+        _inject_lattice(gen, cycles, utils)
+        _inject_lattice(ref, cycles, utils)
+        if warm:
+            # Fill the axis memo from other starts and targets first.
+            for node in gen._compute_nodes:
+                for target in (120.0, 5e11):
+                    gen._fit_layer_to_state(node, gen._random_coeffs(node), target)
+        for target in targets:
+            for node in gen._compute_nodes:
+                start = ref._random_coeffs(node)
+                assert gen._fit_layer_to_state(
+                    node, start, target
+                ) == _reference_fit(ref, node, start, target)
 
     @given(
         st.sampled_from(["kc", "yx"]),

@@ -40,6 +40,7 @@ class TestBenchCheck:
         "wall_seconds": 20.0,
         "total_cycles": 1_000_000,
         "winner": {"label": "sa[4]", "fingerprint": "abcd"},
+        "cost_kernel": {"batch_calls": 648, "batch_rows": 58261},
     }
 
     def _report(self, **overrides):
@@ -76,6 +77,15 @@ class TestBenchCheck:
         problems = check_against(report, self.REFERENCE, 0.25)
         assert any("bit-exactness" in p for p in problems)
         assert any("winner drifted" in p for p in problems)
+
+    def test_cost_kernel_drift_fails_with_identical_result(self):
+        from repro.perf_bench import check_against
+
+        report = self._report(
+            cost_kernel={"batch_calls": 649, "batch_rows": 58300}
+        )
+        problems = check_against(report, self.REFERENCE, 0.25)
+        assert len(problems) == 1 and "cost_kernel drifted" in problems[0]
 
 
 class TestCommands:
