@@ -8,7 +8,9 @@ per-engine capacity, without running the full timing model:
   after the policy makes room for an entry that fits an empty buffer, the
   entry must actually fit (fires when the eviction policy under-frees);
 * ``AD402`` — warning: the policy evicted an entry that is needed again in
-  the very Round being provisioned (forces a same-Round DRAM round-trip);
+  the very Round being provisioned, or that a later atom of the current
+  Round still reads (either forces a DRAM round-trip the simulator
+  charges);
 * ``AD403`` — warning: an atom output with on-chip consumers is larger
   than the whole engine buffer, so it can never be reused on-chip.
 
@@ -36,7 +38,7 @@ register_rule(
     Severity.WARNING,
     "artifact",
     "eviction policy should not evict an entry needed again in the Round "
-    "being provisioned",
+    "being provisioned or by a later atom of the current Round",
 )
 register_rule(
     "AD403",
@@ -83,35 +85,66 @@ def check_buffering(
 
     for rnd in schedule.rounds:
         t = rnd.index
-        for a in rnd.atom_indices:
+        for i, a in enumerate(rnd.atom_indices):
             engine = placement.get(a)
             if engine is None or not 0 <= engine < num_engines:
                 continue  # AD301/AD303 territory
+            later = rnd.atom_indices[i + 1 :]
             _replay_weight(
-                dag, a, buffers[engine], policy, t, weight_limit, report
+                dag, a, buffers[engine], policy, t, weight_limit, later,
+                report,
             )
-            _replay_output(dag, a, buffers[engine], policy, t, report)
+            _replay_output(dag, a, buffers[engine], policy, t, later, report)
     return report
 
 
+def _later_reader(
+    dag: AtomicDAG, key, later: tuple[int, ...]
+) -> int | None:
+    """First atom of ``later`` (the rest of the Round) that reads ``key``."""
+    if isinstance(key, tuple):
+        wk = (key[1], key[2])
+        weight_keys = dag.weight_keys
+        return next((b for b in later if weight_keys[b] == wk), None)
+    succs = dag.succs[key]
+    return next((b for b in later if b in succs), None)
+
+
 def _checked_evictions(
+    dag: AtomicDAG,
     buffer: EngineBuffer,
     policy: BufferPolicy,
     needed_bytes: int,
+    t: int,
     t0: int,
+    later: tuple[int, ...],
     report: Report,
 ) -> None:
-    """Run the policy's make_room, flagging premature evictions (AD402)."""
+    """Run the policy's make_room, flagging premature evictions (AD402).
+
+    ``t`` is the Round of the atom being provisioned and ``later`` the
+    atoms that run after it in that Round; ``t0`` is the Round the new
+    entry is provisioned for (``t`` for weights, ``t + 1`` for outputs).
+    An entry whose last reader is a later atom of Round ``t`` looks dead
+    from ``t0 = t + 1``, but evicting it sends that reader to DRAM.
+    """
     evictions = policy.make_room(buffer, needed_bytes, t0)
     for ev in evictions:
-        if ev.writeback_bytes == 0 and policy.next_use(ev.key, t0) is None:
-            continue  # dead entry released for free: always fine
         if policy.next_use(ev.key, t0) == t0:
             report.emit(
                 "AD402",
                 f"engine {buffer.engine_index}",
                 f"entry {ev.key!r} evicted while provisioning round {t0} "
                 f"but is needed again in round {t0}",
+            )
+            continue
+        reader = _later_reader(dag, ev.key, later)
+        if reader is not None:
+            report.emit(
+                "AD402",
+                f"engine {buffer.engine_index}",
+                f"entry {ev.key!r} evicted while provisioning round {t0} "
+                f"but atom {reader} of round {t} still reads it",
             )
 
 
@@ -122,16 +155,17 @@ def _replay_weight(
     policy: BufferPolicy,
     t: int,
     weight_limit: int,
+    later: tuple[int, ...],
     report: Report,
 ) -> None:
-    wk = dag.weight_key(a)
+    wk = dag.weight_keys[a]
     if wk is None:
         return
-    nbytes = dag.costs[a].weight_bytes
+    nbytes = dag.atom_weight_bytes[a]
     key = weight_entry_key(*wk)
     if buffer.contains(key) or nbytes > weight_limit:
         return
-    _checked_evictions(buffer, policy, nbytes, t, report)
+    _checked_evictions(dag, buffer, policy, nbytes, t, t, later, report)
     _checked_store(buffer, key, nbytes, report)
 
 
@@ -141,6 +175,7 @@ def _replay_output(
     buffer: EngineBuffer,
     policy: BufferPolicy,
     t: int,
+    later: tuple[int, ...],
     report: Report,
 ) -> None:
     nbytes = dag.costs[a].ofmap_bytes
@@ -156,7 +191,7 @@ def _replay_output(
         )
         return
     # The output is needed from the next Round onward.
-    _checked_evictions(buffer, policy, nbytes, t + 1, report)
+    _checked_evictions(dag, buffer, policy, nbytes, t, t + 1, later, report)
     _checked_store(buffer, a, nbytes, report)
 
 

@@ -7,7 +7,8 @@ flat arrays instead of trusting the builder:
 * ``AD101`` — index alignment of the parallel flat arrays;
 * ``AD102`` — pred/succ adjacency mirrors exactly;
 * ``AD103`` — acyclicity (Kahn toposort over the pred arrays);
-* ``AD104`` — ``edge_bytes`` keys/coverage match the adjacency exactly;
+* ``AD104`` — ``edge_bytes`` keys/coverage match the adjacency exactly,
+  and the flat ``pred_bytes`` table agrees with it edge for edge;
 * ``AD105`` — batch sub-DAG isomorphism (every sample replicates sample 0);
 * ``AD106`` — each layer's tile grid covers its output exactly.
 """
@@ -43,7 +44,7 @@ register_rule(
     Severity.ERROR,
     "artifact",
     "edge_bytes keys must be exactly the DAG's edges (no phantom or "
-    "missing entries)",
+    "missing entries), and pred_bytes must mirror them index for index",
 )
 register_rule(
     "AD105",
@@ -164,13 +165,48 @@ def _check_edge_bytes(dag: AtomicDAG, report: Report, n: int) -> None:
                 f"edge {key[0]}->{key[1]}",
                 "edge_bytes entry for a pair that is not a DAG edge",
             )
+    missing = False
     for edge in sorted(edges):
         if edge not in dag.edge_bytes:
+            missing = True
             report.emit(
                 "AD104",
                 f"edge {edge[0]}->{edge[1]}",
                 "DAG edge has no edge_bytes entry",
             )
+    if not missing:
+        # The flat table the hot paths read instead of edge_bytes; a
+        # hand-built DAG derives it lazily, which needs every entry.
+        _check_pred_bytes(dag, report, n)
+
+
+def _check_pred_bytes(dag: AtomicDAG, report: Report, n: int) -> None:
+    pred_bytes = dag.pred_bytes
+    if len(pred_bytes) != n:
+        report.emit(
+            "AD104",
+            "dag",
+            f"pred_bytes has {len(pred_bytes)} rows for {n} atoms",
+        )
+        return
+    for i in range(n):
+        preds, payloads = dag.preds[i], pred_bytes[i]
+        if len(payloads) != len(preds):
+            report.emit(
+                "AD104",
+                f"atom {i}",
+                f"pred_bytes has {len(payloads)} entries for "
+                f"{len(preds)} preds",
+            )
+            continue
+        for p, nbytes in zip(preds, payloads):
+            expected = dag.edge_bytes.get((p, i))
+            if nbytes != expected:
+                report.emit(
+                    "AD104",
+                    f"edge {p}->{i}",
+                    f"pred_bytes says {nbytes} B, edge_bytes {expected} B",
+                )
 
 
 def _sub_dag_signature(

@@ -9,9 +9,10 @@ These are repo-specific hazards generic linters do not know about:
   tolerance helpers themselves) are exempt.
 * ``LINT002`` — mutation of :class:`~repro.atoms.dag.AtomicDAG` flat
   arrays (``atoms``/``preds``/``succs``/``costs``/``dram_input_bytes``/
-  ``edge_bytes``) outside ``repro.atoms``.  The arrays are index-aligned;
-  out-of-band mutation desynchronizes them, which is exactly what the
-  AD101/AD102/AD104 validators exist to catch after the fact.
+  ``edge_bytes``/``pred_bytes``/``weight_keys``) outside ``repro.atoms``.
+  The arrays are index-aligned; out-of-band mutation desynchronizes them,
+  which is exactly what the AD101/AD102/AD104 validators exist to catch
+  after the fact.
 * ``LINT003`` — every ``repro`` module must start with ``from __future__
   import annotations`` (uniform lazy annotation semantics across the
   package; docstring-only modules are exempt).
@@ -75,7 +76,16 @@ register_rule(
 
 #: AtomicDAG's index-aligned flat attributes guarded by LINT002.
 DAG_FLAT_ATTRS = frozenset(
-    {"atoms", "preds", "succs", "costs", "dram_input_bytes", "edge_bytes"}
+    {
+        "atoms",
+        "preds",
+        "succs",
+        "costs",
+        "dram_input_bytes",
+        "edge_bytes",
+        "pred_bytes",
+        "weight_keys",
+    }
 )
 
 #: Method names that mutate lists/dicts in place.

@@ -413,6 +413,20 @@ def run_self_check() -> tuple[bool, str]:
         lines,
     )
 
+    # dataclasses.replace carries the built pred_bytes table over, so
+    # bumping one edge_bytes payload desynchronizes the two views.
+    consumer = next(a for a in range(dag.num_atoms) if dag.preds[a])
+    edge = (dag.preds[consumer][0], consumer)
+    skewed_dag = replace(
+        dag, edge_bytes={**dag.edge_bytes, edge: dag.edge_bytes[edge] + 1}
+    )
+    passed &= _expect(
+        "seeded pred_bytes/edge_bytes mismatch",
+        validate_artifacts(skewed_dag),
+        ("AD104",),
+        lines,
+    )
+
     truncated = Schedule(rounds=list(schedule.rounds[:-1]))
     passed &= _expect(
         "seeded truncated schedule",

@@ -58,6 +58,10 @@ class AtomicDAG:
         edge_bytes: (producer atom, consumer atom) -> bytes of producer
             output the consumer reads (the overlap of its receptive field
             with the producer's region) — the NoC payload of that edge.
+
+    The post-tiling hot paths (simulator, mapper, scheduler) read the two
+    flat views :attr:`pred_bytes` and :attr:`weight_keys` instead of
+    hashing ``(p, a)`` tuples into ``edge_bytes`` per edge.
     """
 
     graph: Graph
@@ -74,6 +78,10 @@ class AtomicDAG:
     _atom_cycles: list[int] | None = field(default=None, repr=False)
     _atom_weight_bytes: list[int] | None = field(default=None, repr=False)
     _atom_ofmap_bytes: list[int] | None = field(default=None, repr=False)
+    _pred_bytes: list[tuple[int, ...]] | None = field(default=None, repr=False)
+    _weight_keys: list[tuple[int, int] | None] | None = field(
+        default=None, repr=False
+    )
 
     @property
     def num_atoms(self) -> int:
@@ -118,6 +126,38 @@ class AtomicDAG:
                 self._atom_ofmap_bytes = [c.ofmap_bytes for c in table]
         return self._atom_ofmap_bytes
 
+    @property
+    def pred_bytes(self) -> list[tuple[int, ...]]:
+        """Per-atom edge payloads, index-aligned with :attr:`preds`.
+
+        ``pred_bytes[a][k]`` is ``edge_bytes[(preds[a][k], a)]``: the same
+        payloads as one flat tuple per consumer, so walking an atom's
+        inputs is a ``zip`` instead of a tuple-keyed dict lookup per edge.
+        :func:`build_atomic_dag` fills it from its merged edge arrays;
+        hand-built DAGs derive it lazily from :attr:`edge_bytes` (see
+        :attr:`atom_cycles` on mutation).
+        """
+        if self._pred_bytes is None:
+            edge_bytes = self.edge_bytes
+            self._pred_bytes = [
+                tuple(edge_bytes[(p, a)] for p in ps)
+                for a, ps in enumerate(self.preds)
+            ]
+        return self._pred_bytes
+
+    @property
+    def weight_keys(self) -> list[tuple[int, int] | None]:
+        """Flat per-atom :meth:`weight_key` list (see :attr:`pred_bytes`)."""
+        if self._weight_keys is None:
+            grids = self.grids
+            self._weight_keys = [
+                (atom.layer, atom.region.c[0] // grids[atom.layer].tile.co)
+                if nbytes
+                else None
+                for atom, nbytes in zip(self.atoms, self.atom_weight_bytes)
+            ]
+        return self._weight_keys
+
     def index_of(self, atom_id: AtomId) -> int:
         """Dense index of an atom by identity.
 
@@ -142,11 +182,7 @@ class AtomicDAG:
         Atoms of the same layer covering the same output-channel tile share
         one weight slice; scheduling them on one engine reuses it.
         """
-        if self.atom_weight_bytes[atom_index] == 0:
-            return None
-        atom = self.atoms[atom_index]
-        grid = self.grids[atom.layer]
-        return (atom.layer, atom.region.c[0] // grid.tile.co)
+        return self.weight_keys[atom_index]
 
     def total_compute_cycles(self) -> int:
         """Sum of per-atom engine cycles (the serial lower bound's numerator)."""
@@ -253,6 +289,8 @@ def build_atomic_dag(
             table.extend_columns(*columns_of[node.node_id])
     num = dag.num_atoms
     dag.preds = [()] * num
+    pred_bytes: list[tuple[int, ...]] = [()] * num
+    dag._pred_bytes = pred_bytes
     dag.succs = [()] * num
     dag.dram_input_bytes = [0] * num
     dag._atom_cycles = table.cycles
@@ -385,6 +423,7 @@ def build_atomic_dag(
                 gi = gi_base + c_local
                 preds = tuple(p + shift for p in prod_list[lo:hi])
                 dag.preds[gi] = preds
+                pred_bytes[gi] = tuple(bytes_list[lo:hi])
                 for p, nb in zip(preds, bytes_list[lo:hi]):
                     succs_mut[p].append(gi)
                     dag.edge_bytes[(p, gi)] = nb

@@ -39,6 +39,14 @@ class AtomCostTable(Sequence):
         self.ofmap_bytes: list[int] = []
         self._views: dict[int, EngineCost] = {}
 
+    @classmethod
+    def from_costs(cls, costs: Sequence[EngineCost]) -> AtomCostTable:
+        """A table holding the columns of a plain per-atom cost list."""
+        table = cls()
+        for cost in costs:
+            table.append(cost)
+        return table
+
     def __len__(self) -> int:
         return len(self.cycles)
 

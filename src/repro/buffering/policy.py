@@ -52,7 +52,12 @@ class BufferPolicy:
 
     def __init__(self, dag: AtomicDAG, schedule: Schedule) -> None:
         self.dag = dag
-        self.atom_round = schedule.atom_round()
+        # Atom -> the Round it executes in (-1 for atoms the schedule
+        # leaves out), built once; the simulator reads it too.
+        self.atom_round = [-1] * dag.num_atoms
+        for rnd in schedule.rounds:
+            for a in rnd.atom_indices:
+                self.atom_round[a] = rnd.index
         # Atom -> sorted Rounds in which its consumers execute.
         self._consumer_rounds: dict[int, list[int]] = {}
         for a in range(dag.num_atoms):
@@ -61,8 +66,7 @@ class BufferPolicy:
                 self._consumer_rounds[a] = rounds
         # Weight key -> sorted Rounds in which an atom needing it executes.
         self._weight_rounds: dict[tuple[int, int], list[int]] = {}
-        for a in range(dag.num_atoms):
-            wk = dag.weight_key(a)
+        for a, wk in enumerate(dag.weight_keys):
             if wk is not None:
                 self._weight_rounds.setdefault(wk, []).append(self.atom_round[a])
         for rounds in self._weight_rounds.values():

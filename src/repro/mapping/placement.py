@@ -78,6 +78,7 @@ def optimized_placement(
     order = mesh.zigzag_order()
     placement: dict[int, int] = {}
     weight_home: dict[tuple[int, int], int] = {}
+    weight_keys = dag.weight_keys
     for rnd in schedule.rounds:
         atoms = rnd.atom_indices
         groups = _group_by_layer(dag, atoms)
@@ -107,7 +108,7 @@ def optimized_placement(
         assignment = min(candidates, key=cost_of)
         for a, e in zip(assignment, slots):
             placement[a] = e
-            wk = dag.weight_key(a)
+            wk = weight_keys[a]
             if wk is not None and wk not in weight_home:
                 weight_home[wk] = e
     return placement
@@ -167,11 +168,13 @@ def _greedy_assignment(
     free-engine scan is a row gather + argmin (first minimum wins, like
     ``min`` over the ordered free list did).
     """
+    pred_bytes = dag.pred_bytes
+    weight_keys = dag.weight_keys
     weight_bytes = dag.atom_weight_bytes
 
     def incoming(a: int) -> int:
-        total = sum(dag.edge_bytes[(p, a)] for p in dag.preds[a])
-        if dag.weight_key(a) is not None:
+        total = sum(pred_bytes[a])
+        if weight_keys[a] is not None:
             total += weight_bytes[a]
         return total
 

@@ -39,10 +39,12 @@ def _gather_round_traffic(
     srcs: list[int] = []
     sizes: list[int] = []
     const = 0
+    preds = dag.preds
+    pred_bytes = dag.pred_bytes
+    weight_keys = dag.weight_keys
     weight_bytes = dag.atom_weight_bytes
     for i, atom in enumerate(round_atoms):
-        for p in dag.preds[atom]:
-            nbytes = dag.edge_bytes[(p, atom)]
+        for p, nbytes in zip(preds[atom], pred_bytes[atom]):
             src = placement.get(p)
             if src is None:
                 const += DRAM_HOP_PENALTY * nbytes
@@ -51,7 +53,7 @@ def _gather_round_traffic(
                 srcs.append(src)
                 sizes.append(nbytes)
         if weight_home is not None:
-            wk = dag.weight_key(atom)
+            wk = weight_keys[atom]
             if wk is not None:
                 home = weight_home.get(wk)
                 if home is None:

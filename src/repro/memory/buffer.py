@@ -9,7 +9,7 @@ implements the paper's Algorithm 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Mapping
 
 
 class BufferOverflowError(RuntimeError):
@@ -21,6 +21,8 @@ class EngineBuffer:
     """One engine's global buffer.
 
     Entries are keyed by arbitrary hashable ids (atom ids, weight-slice ids).
+    Occupancy is a running counter kept by every mutator, so :meth:`fits`
+    is O(1) however many entries the buffer holds.
 
     Attributes:
         capacity_bytes: SRAM capacity of this engine.
@@ -30,15 +32,26 @@ class EngineBuffer:
     capacity_bytes: int
     engine_index: int = 0
     _entries: dict[Hashable, int] = field(default_factory=dict, repr=False)
+    _used: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
+        self._used = sum(self._entries.values())
 
     @property
     def used_bytes(self) -> int:
         """Bytes currently occupied."""
-        return sum(self._entries.values())
+        return self._used
+
+    @property
+    def entries(self) -> Mapping[Hashable, int]:
+        """Live read-only view of the stored entries (key -> size).
+
+        For hot loops that test membership of many keys; mutate through
+        :meth:`store`/:meth:`release` only.
+        """
+        return self._entries
 
     @property
     def free_bytes(self) -> int:
@@ -61,7 +74,7 @@ class EngineBuffer:
 
     def fits(self, size_bytes: int) -> bool:
         """Whether ``size_bytes`` more would fit right now."""
-        return size_bytes <= self.free_bytes
+        return size_bytes <= self.capacity_bytes - self._used
 
     def store(self, key: Hashable, size_bytes: int) -> None:
         """Insert an entry.
@@ -89,6 +102,7 @@ class EngineBuffer:
                 f"free {self.free_bytes} B"
             )
         self._entries[key] = size_bytes
+        self._used += delta
 
     def release(self, key: Hashable) -> int:
         """Remove an entry and return its size.
@@ -96,15 +110,20 @@ class EngineBuffer:
         Raises:
             KeyError: When the entry is absent.
         """
-        return self._entries.pop(key)
+        size = self._entries.pop(key)
+        self._used -= size
+        return size
 
     def release_if_present(self, key: Hashable) -> int:
         """Remove an entry if stored; returns freed bytes (0 if absent)."""
-        return self._entries.pop(key, 0)
+        size = self._entries.pop(key, 0)
+        self._used -= size
+        return size
 
     def clear(self) -> None:
         """Drop all entries."""
         self._entries.clear()
+        self._used = 0
 
 
 def make_buffers(num_engines: int, capacity_bytes: int) -> list[EngineBuffer]:

@@ -29,13 +29,11 @@ class Transfer:
         src: Source engine index.
         dst: Destination engine index.
         size_bytes: Payload size.
-        tag: Free-form label for tracing (e.g. the atom id moved).
     """
 
     src: int
     dst: int
     size_bytes: int
-    tag: str = ""
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
@@ -86,47 +84,53 @@ class NocModel:
         )
 
     def link_occupancy(
-        self, transfers: list[Transfer]
+        self, srcs: list[int], dsts: list[int], sizes: list[int]
     ) -> dict[tuple[int, int], int]:
         """Serialization cycles per directed link for a transfer batch.
 
-        The same occupancy :meth:`round_cost` bounds its delay with, kept
-        as a separate walk so the hot search path pays nothing for it;
-        timeline collection calls this once per Round.
+        The batch is given as parallel source/destination/payload lists,
+        like :meth:`round_cost`.  The same occupancy :meth:`round_cost`
+        bounds its delay with, kept as a separate walk so the hot search
+        path pays nothing for it; timeline collection calls this once per
+        Round.
         """
         occupancy: dict[tuple[int, int], int] = defaultdict(int)
-        for t in transfers:
-            if t.src == t.dst or t.size_bytes == 0:
+        for src, dst, size in zip(srcs, dsts, sizes):
+            if src == dst or size == 0:
                 continue
-            serialization = ceil_div(8 * t.size_bytes, self.config.link_bits)
-            for link in self.mesh.route(t.src, t.dst):
+            serialization = ceil_div(8 * size, self.config.link_bits)
+            for link in self.mesh.route(src, dst):
                 occupancy[link] += serialization
         return dict(occupancy)
 
-    def round_cost(self, transfers: list[Transfer]) -> NocRoundCost:
+    def round_cost(
+        self, srcs: list[int], dsts: list[int], sizes: list[int]
+    ) -> NocRoundCost:
         """Delay and energy of a batch of transfers issued together.
 
-        The batch's blocking delay is ``max(single-transfer latency,
-        busiest-link occupancy)``: transfers on disjoint routes proceed in
-        parallel, transfers sharing a link serialize.
+        The batch is given as parallel lists: transfer ``k`` moves
+        ``sizes[k]`` bytes from engine ``srcs[k]`` to ``dsts[k]``.  Local
+        and empty transfers cost nothing.  The batch's blocking delay is
+        ``max(single-transfer latency, busiest-link occupancy)``: transfers
+        on disjoint routes proceed in parallel, transfers sharing a link
+        serialize.
 
         Vectorized over the batch against the mesh's cached distance/route
         tables; results are bit-identical to the per-transfer walk
         (serialization keeps the original ``ceil`` of a float quotient, and
         energy sums terms in transfer order).
         """
-        triples = [
-            (t.src, t.dst, t.size_bytes)
-            for t in transfers
-            if t.src != t.dst and t.size_bytes
-        ]
-        if not triples:
+        src = np.asarray(srcs, dtype=np.int64)
+        dst = np.asarray(dsts, dtype=np.int64)
+        size = np.asarray(sizes, dtype=np.int64)
+        moved = (src != dst) & (size != 0)
+        if not moved.any():
             return NocRoundCost(
                 cycles=0, energy_pj=0.0, total_hop_bits=0,
                 busiest_link_cycles=0,
             )
-        arr = np.asarray(triples, dtype=np.int64)
-        src, dst, size = arr[:, 0], arr[:, 1], arr[:, 2]
+        if not moved.all():
+            src, dst, size = src[moved], dst[moved], size[moved]
         dist = self.mesh.distance_array()
         hops = dist[src, dst]
         # static-ok: LINT012 -- link payloads sit far below 2**53, so float

@@ -11,7 +11,9 @@ benchmark with ``--check`` against that file and fails when
 * the evaluation window's cost-kernel counters drift (they are
   bit-exact, so tiling pricing leaking into evaluation shows here), or
 * wall time regresses more than ``--threshold`` (default 25%) over the
-  committed measurement.
+  committed measurement.  The failure names every search stage whose
+  seconds grew past the same threshold over the committed
+  ``stage_seconds``; stage seconds alone never fail the check.
 
 Wall-seconds are honest measurements of the machine they ran on, so the
 report carries ``cpu_count`` and the check compares runs of the same
@@ -101,8 +103,20 @@ def check_against(report: dict, reference: dict, threshold: float) -> list[str]:
             f"wall time regressed: {report['wall_seconds']:.2f}s > "
             f"{limit:.2f}s (committed {reference['wall_seconds']:.2f}s "
             f"+ {threshold:.0%})"
+            + _regressed_stages(report, reference, threshold)
         )
     return problems
+
+
+def _regressed_stages(report: dict, reference: dict, threshold: float) -> str:
+    """``"; stages past threshold: ..."`` naming each stage that grew."""
+    committed = reference.get("stage_seconds", {})
+    grown = [
+        f"{stage} {seconds:.2f}s > {committed[stage]:.2f}s"
+        for stage, seconds in report.get("stage_seconds", {}).items()
+        if stage in committed and seconds > committed[stage] * (1.0 + threshold)
+    ]
+    return "; stages past threshold: " + ", ".join(grown) if grown else ""
 
 
 def main(argv: list[str] | None = None) -> int:

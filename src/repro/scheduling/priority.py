@@ -68,11 +68,13 @@ class SchedulerState:
         round cost).
         """
         last = self.rounds_committed - 1
-        return sum(
-            self.dag.edge_bytes[(p, atom)]
-            for p in self.dag.preds[atom]
-            if self.round_of[p] == last
-        )
+        round_of = self.round_of
+        dag = self.dag
+        total = 0
+        for p, nbytes in zip(dag.preds[atom], dag.pred_bytes[atom]):
+            if round_of[p] == last:
+                total += nbytes
+        return total
 
     def current_sample(self) -> int:
         """Smallest sample index with unscheduled atoms (rule 4's 'current')."""

@@ -17,18 +17,18 @@ Timing model per Round ``t`` (double buffering):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.atoms.dag import AtomicDAG
-from repro.buffering.policy import BufferPolicy, weight_entry_key
+from repro.atoms.table import AtomCostTable
+from repro.buffering.policy import BufferPolicy, Eviction, weight_entry_key
 from repro.config import ArchConfig
-from repro.engine.energy import atom_energy
-from repro.memory.buffer import EngineBuffer, make_buffers
+from repro.memory.buffer import make_buffers
 from repro.memory.hbm import HbmModel
 from repro.metrics import EnergyBreakdown, RunResult
 from repro.noc.mesh import Mesh2D
 from repro.noc.torus import make_topology
-from repro.noc.traffic import NocModel, Transfer
+from repro.noc.traffic import NocModel, NocRoundCost, Transfer
 from repro.noc.wormhole import WormholeSimulator
 from repro.obs.tracer import get_tracer
 from repro.scheduling.rounds import Schedule
@@ -84,21 +84,6 @@ class RoundTrace:
         return "dram"
 
 
-@dataclass
-class _RoundIO:
-    """Accumulated I/O of one Round, split by overlap class."""
-
-    blocking_transfers: list[Transfer] = field(default_factory=list)
-    prefetch_transfers: list[Transfer] = field(default_factory=list)
-    blocking_dram_bytes: int = 0
-    blocking_dram_requests: int = 0
-    prefetch_dram_bytes: int = 0
-    prefetch_dram_requests: int = 0
-    writeback_bytes: int = 0
-    onchip_bytes: int = 0
-    offchip_bytes: int = 0
-
-
 class SystemSimulator:
     """Simulates one (schedule, placement) solution on one architecture.
 
@@ -136,11 +121,24 @@ class SystemSimulator:
             else None
         )
 
-    def _noc_cycles(self, transfers: list[Transfer]) -> int:
-        """Round NoC delay under the selected fidelity model."""
-        if self._wormhole is not None and transfers:
-            return self._wormhole.simulate(transfers).makespan
-        return self.noc.round_cost(transfers).cycles
+    def _noc_cycles(
+        self,
+        cost: NocRoundCost,
+        srcs: list[int],
+        dsts: list[int],
+        sizes: list[int],
+    ) -> int:
+        """Round NoC delay under the selected fidelity model.
+
+        ``cost`` is the analytical :meth:`NocModel.round_cost` of the same
+        batch; only the wormhole model materializes :class:`Transfer`
+        objects, in transfer order.
+        """
+        if self._wormhole is None or not srcs:
+            return cost.cycles
+        return self._wormhole.simulate(
+            [Transfer(s, d, n) for s, d, n in zip(srcs, dsts, sizes)]
+        ).makespan
 
     def run(self, schedule: Schedule, placement: dict[int, int]) -> RunResult:
         """Execute the schedule and return the full metric set.
@@ -205,13 +203,34 @@ class SystemSimulator:
         dag = self.dag
         arch = self.arch
         policy = BufferPolicy(dag, schedule)
+        make_room = policy.make_room
         buffers = make_buffers(arch.num_engines, arch.engine.buffer_bytes)
+        held = [b.entries for b in buffers]
+        capacity = arch.engine.buffer_bytes
+        weight_limit = capacity // WEIGHT_RESIDENCY_FRACTION
         hbm = HbmModel(arch.hbm, arch.energy, arch.engine.frequency_hz)
-        atom_round = schedule.atom_round()
+        dist = self.mesh.distance_matrix()
 
-        atom_location: dict[int, int] = {}
+        # Flat per-atom views, index-aligned with the DAG's atoms.
+        atom_round = policy.atom_round
+        atom_location = [-1] * dag.num_atoms
         weight_locations: dict[tuple[int, int], set[int]] = {}
-        weight_limit = arch.engine.buffer_bytes // WEIGHT_RESIDENCY_FRACTION
+        preds = dag.preds
+        pred_bytes = dag.pred_bytes
+        succs = dag.succs
+        dram_input_bytes = dag.dram_input_bytes
+        weight_keys = dag.weight_keys
+        atom_cycles = dag.atom_cycles
+        costs = dag.costs
+        if not isinstance(costs, AtomCostTable):
+            costs = AtomCostTable.from_costs(costs)
+        macs = costs.macs
+        uses_pe_array = costs.uses_pe_array
+        ifmap_bytes = costs.ifmap_bytes
+        weight_bytes = costs.weight_bytes
+        ofmap_bytes = costs.ofmap_bytes
+        mac_pj = arch.energy.mac_pj
+        sram_pj_per_bit = arch.energy.sram_pj_per_bit
 
         total_cycles = 0
         compute_cycles_total = 0
@@ -231,7 +250,6 @@ class SystemSimulator:
         tl_links: list[LinkSample] = []
         tl_hbm: list[HbmSample] = []
         tracer = get_tracer()
-        atom_cycles = dag.atom_cycles
 
         for rnd in schedule.rounds:
             with tracer.span(
@@ -240,48 +258,147 @@ class SystemSimulator:
                 index=rnd.index,
                 atoms=len(rnd.atom_indices),
             ):
-                io = _RoundIO()
                 t = rnd.index
+                prev = t - 1
+                # The Round's NoC transfers, as parallel src/dst/bytes
+                # lists in transfer order (NoC energy sums in this order).
+                b_src: list[int] = []
+                b_dst: list[int] = []
+                b_size: list[int] = []
+                p_src: list[int] = []
+                p_dst: list[int] = []
+                p_size: list[int] = []
+                blocking_dram_bytes = 0
+                blocking_dram_requests = 0
+                prefetch_dram_bytes = 0
+                prefetch_dram_requests = 0
+                writeback_bytes = 0
+                onchip_bytes = 0
+                offchip_bytes = 0
+                # Atoms run one at a time in Round order: provisioning an
+                # atom's output may evict an entry a later atom of the same
+                # Round still reads, which that atom then fetches from DRAM.
                 for a in rnd.atom_indices:
                     engine = placement[a]
-                    self._gather_inputs(
-                        a, engine, t, atom_round, atom_location, buffers, io
+                    buffer = buffers[engine]
+
+                    # Inputs.  Network inputs always stream from DRAM
+                    # (prefetchable).  Produced tiles come from the local
+                    # buffer (free), a remote buffer (NoC), or DRAM if they
+                    # were spilled; data produced in the immediately
+                    # preceding Round cannot be prefetched and blocks.
+                    nbytes = dram_input_bytes[a]
+                    if nbytes:
+                        prefetch_dram_bytes += nbytes
+                        prefetch_dram_requests += 1
+                    for p, nbytes in zip(preds[a], pred_bytes[a]):
+                        if nbytes == 0:
+                            continue
+                        loc = atom_location[p]
+                        if loc >= 0 and p in held[loc]:
+                            onchip_bytes += nbytes
+                            if loc == engine:
+                                continue
+                            if atom_round[p] == prev:
+                                b_src.append(loc)
+                                b_dst.append(engine)
+                                b_size.append(nbytes)
+                            else:
+                                p_src.append(loc)
+                                p_dst.append(engine)
+                                p_size.append(nbytes)
+                        else:
+                            # Spilled to DRAM earlier; read it back.
+                            if atom_round[p] == prev:
+                                blocking_dram_bytes += nbytes
+                                blocking_dram_requests += 1
+                            else:
+                                prefetch_dram_bytes += nbytes
+                                prefetch_dram_requests += 1
+                            offchip_bytes += nbytes
+
+                    # Weight slice: local hit, nearest remote copy (first
+                    # minimum over the sorted holders), or DRAM.
+                    wk = weight_keys[a]
+                    if wk is not None:
+                        nbytes = weight_bytes[a]
+                        key = weight_entry_key(*wk)
+                        holders = weight_locations.get(wk)
+                        if holders and engine in holders and key in held[engine]:
+                            onchip_bytes += nbytes
+                        else:
+                            src = -1
+                            if holders:
+                                best = -1
+                                for h in sorted(holders):
+                                    if key in held[h]:
+                                        d = dist[h][engine]
+                                        if best < 0 or d < best:
+                                            best, src = d, h
+                            if src >= 0:
+                                p_src.append(src)
+                                p_dst.append(engine)
+                                p_size.append(nbytes)
+                                onchip_bytes += nbytes
+                            else:
+                                prefetch_dram_bytes += nbytes
+                                prefetch_dram_requests += 1
+                                offchip_bytes += nbytes
+                            if nbytes <= weight_limit:
+                                writeback_bytes += _drop_evicted(
+                                    make_room(buffer, nbytes, t),
+                                    engine,
+                                    weight_locations,
+                                )
+                                if buffer.fits(nbytes):
+                                    buffer.store(key, nbytes)
+                                    weight_locations.setdefault(
+                                        wk, set()
+                                    ).add(engine)
+
+                    # Output: retained on-chip for its consumers, or
+                    # drained to DRAM (network outputs, tiles larger than
+                    # the buffer, and tiles a drained buffer cannot hold).
+                    nbytes = ofmap_bytes[a]
+                    if nbytes:
+                        if not succs[a] or nbytes > capacity:
+                            writeback_bytes += nbytes
+                        else:
+                            writeback_bytes += _drop_evicted(
+                                make_room(buffer, nbytes, t + 1),
+                                engine,
+                                weight_locations,
+                            )
+                            if buffer.fits(nbytes):
+                                buffer.store(a, nbytes)
+                                atom_location[a] = engine
+                            else:
+                                writeback_bytes += nbytes
+
+                    # Compute-side energy, accumulated in atom order.
+                    mac_energy_pj += macs[a] * mac_pj
+                    sram_energy_pj += (
+                        8 * (ifmap_bytes[a] + weight_bytes[a] + ofmap_bytes[a])
+                        * sram_pj_per_bit
                     )
-                    self._gather_weights(
-                        a, engine, weight_locations, buffers, weight_limit,
-                        io, policy, t,
-                    )
-                    self._store_output(
-                        a, engine, buffers, policy, t, atom_location,
-                        weight_locations, io,
-                    )
-                    cost = dag.costs[a]
-                    e = atom_energy(cost, arch.energy)
-                    mac_energy_pj += e.mac_pj
-                    sram_energy_pj += e.sram_pj
-                    if cost.uses_pe_array:
-                        total_macs_pe += cost.macs
+                    if uses_pe_array[a]:
+                        total_macs_pe += macs[a]
 
                 compute = max(atom_cycles[a] for a in rnd.atom_indices)
-                blocking_noc = self.noc.round_cost(io.blocking_transfers)
-                prefetch_noc = self.noc.round_cost(io.prefetch_transfers)
-                blocking_noc_cycles = (
-                    self._noc_cycles(io.blocking_transfers)
-                    if self._wormhole is not None
-                    else blocking_noc.cycles
+                blocking_noc = self.noc.round_cost(b_src, b_dst, b_size)
+                prefetch_noc = self.noc.round_cost(p_src, p_dst, p_size)
+                blocking_noc_cycles = self._noc_cycles(
+                    blocking_noc, b_src, b_dst, b_size
                 )
-                prefetch_noc_cycles = (
-                    self._noc_cycles(io.prefetch_transfers)
-                    if self._wormhole is not None
-                    else prefetch_noc.cycles
+                prefetch_noc_cycles = self._noc_cycles(
+                    prefetch_noc, p_src, p_dst, p_size
                 )
                 blocking_dram = hbm.batch_cycles(
-                    io.blocking_dram_bytes, io.blocking_dram_requests
+                    blocking_dram_bytes, blocking_dram_requests
                 )
                 prefetch_dram = hbm.batch_cycles(
-                    io.prefetch_dram_bytes + io.writeback_bytes,
-                    io.prefetch_dram_requests
-                    + (1 if io.writeback_bytes else 0),
+                    prefetch_dram_bytes + writeback_bytes,
+                    prefetch_dram_requests + (1 if writeback_bytes else 0),
                 )
                 round_time = (
                     blocking_noc_cycles
@@ -301,12 +418,26 @@ class SystemSimulator:
                             round_cycles=round_time,
                         )
                     )
+                read_bytes = blocking_dram_bytes + prefetch_dram_bytes
                 if collect_timeline:
+                    tl_rounds.append(
+                        RoundWindow(
+                            index=rnd.index,
+                            start=total_cycles,
+                            compute_cycles=compute,
+                            blocking_noc_cycles=blocking_noc_cycles,
+                            blocking_dram_cycles=blocking_dram,
+                            prefetch_noc_cycles=prefetch_noc_cycles,
+                            prefetch_dram_cycles=prefetch_dram,
+                            round_cycles=round_time,
+                        )
+                    )
                     self._collect_round_timeline(
-                        rnd, placement, io, total_cycles, compute,
-                        blocking_noc_cycles, blocking_dram,
-                        prefetch_noc_cycles, prefetch_dram, round_time, hbm,
-                        tl_rounds, tl_intervals, tl_links, tl_hbm,
+                        rnd, placement, total_cycles,
+                        blocking_noc_cycles + blocking_dram, round_time,
+                        (b_src + p_src, b_dst + p_dst, b_size + p_size),
+                        read_bytes, writeback_bytes, hbm,
+                        tl_intervals, tl_links, tl_hbm,
                     )
                 total_cycles += round_time
                 compute_cycles_total += compute
@@ -318,15 +449,14 @@ class SystemSimulator:
                 noc_bytes_hops += (
                     blocking_noc.total_hop_bits + prefetch_noc.total_hop_bits
                 ) // 8
-                read_bytes = io.blocking_dram_bytes + io.prefetch_dram_bytes
                 if read_bytes:
                     dram_energy_pj += hbm.access(read_bytes).energy_pj
-                if io.writeback_bytes:
+                if writeback_bytes:
                     dram_energy_pj += hbm.access(
-                        io.writeback_bytes, write=True
+                        writeback_bytes, write=True
                     ).energy_pj
-                onchip_bytes_total += io.onchip_bytes
-                offchip_bytes_total += io.offchip_bytes
+                onchip_bytes_total += onchip_bytes
+                offchip_bytes_total += offchip_bytes
 
         seconds = total_cycles / arch.engine.frequency_hz
         static_pj = (
@@ -381,40 +511,24 @@ class SystemSimulator:
         self,
         rnd,
         placement: dict[int, int],
-        io: _RoundIO,
         round_start: int,
-        compute: int,
-        blocking_noc_cycles: int,
-        blocking_dram: int,
-        prefetch_noc_cycles: int,
-        prefetch_dram: int,
+        stall: int,
         round_time: int,
+        transfers: tuple[list[int], list[int], list[int]],
+        bytes_read: int,
+        bytes_written: int,
         hbm: HbmModel,
-        tl_rounds: list[RoundWindow],
         tl_intervals: list[EngineInterval],
         tl_links: list[LinkSample],
         tl_hbm: list[HbmSample],
     ) -> None:
         """Append one executed Round's resource occupancy to the timeline.
 
-        Engine intervals start after the Round's blocking stall — the
+        Engine intervals start after the Round's blocking ``stall`` — the
         window in which the timing model lets compute proceed.  HBM bytes
         are the raw (pre-burst-rounding) payloads the Round moved.
         """
         dag = self.dag
-        stall = blocking_noc_cycles + blocking_dram
-        tl_rounds.append(
-            RoundWindow(
-                index=rnd.index,
-                start=round_start,
-                compute_cycles=compute,
-                blocking_noc_cycles=blocking_noc_cycles,
-                blocking_dram_cycles=blocking_dram,
-                prefetch_noc_cycles=prefetch_noc_cycles,
-                prefetch_dram_cycles=prefetch_dram,
-                round_cycles=round_time,
-            )
-        )
         for a in rnd.atom_indices:
             cost = dag.costs[a]
             tl_intervals.append(
@@ -429,163 +543,35 @@ class SystemSimulator:
                     uses_pe_array=cost.uses_pe_array,
                 )
             )
-        occupancy = self.noc.link_occupancy(
-            io.blocking_transfers + io.prefetch_transfers
-        )
+        occupancy = self.noc.link_occupancy(*transfers)
         for (src, dst), busy in sorted(occupancy.items()):
             tl_links.append(LinkSample(rnd.index, src, dst, busy))
-        moved = (
-            io.blocking_dram_bytes
-            + io.prefetch_dram_bytes
-            + io.writeback_bytes
-        )
         tl_hbm.append(
             HbmSample(
                 round_index=rnd.index,
                 start=round_start,
                 duration=round_time,
-                bytes_read=io.blocking_dram_bytes + io.prefetch_dram_bytes,
-                bytes_written=io.writeback_bytes,
-                utilization=hbm.bandwidth_utilization(moved, round_time),
+                bytes_read=bytes_read,
+                bytes_written=bytes_written,
+                utilization=hbm.bandwidth_utilization(
+                    bytes_read + bytes_written, round_time
+                ),
             )
         )
 
-    # ------------------------------------------------------------- internals
 
-    def _gather_inputs(
-        self,
-        a: int,
-        engine: int,
-        t: int,
-        atom_round: dict[int, int],
-        atom_location: dict[int, int],
-        buffers: list[EngineBuffer],
-        io: _RoundIO,
-    ) -> None:
-        """Resolve where each input tile comes from and charge the movement.
-
-        Network inputs always stream from DRAM (prefetchable).  Produced
-        tiles come from the local buffer (free), a remote buffer (NoC), or
-        DRAM if they were spilled; data produced in the immediately
-        preceding Round cannot be prefetched and blocks.
-        """
-        dag = self.dag
-        if dag.dram_input_bytes[a]:
-            io.prefetch_dram_bytes += dag.dram_input_bytes[a]
-            io.prefetch_dram_requests += 1
-        for p in dag.preds[a]:
-            nbytes = dag.edge_bytes[(p, a)]
-            if nbytes == 0:
-                continue
-            blocking = atom_round[p] == t - 1
-            loc = atom_location.get(p)
-            if loc is not None and buffers[loc].contains(p):
-                if loc == engine:
-                    io.onchip_bytes += nbytes
-                    continue
-                transfer = Transfer(src=loc, dst=engine, size_bytes=nbytes, tag=str(p))
-                if blocking:
-                    io.blocking_transfers.append(transfer)
-                else:
-                    io.prefetch_transfers.append(transfer)
-                io.onchip_bytes += nbytes
-            else:
-                # Spilled to DRAM earlier; read it back.
-                if blocking:
-                    io.blocking_dram_bytes += nbytes
-                    io.blocking_dram_requests += 1
-                else:
-                    io.prefetch_dram_bytes += nbytes
-                    io.prefetch_dram_requests += 1
-                io.offchip_bytes += nbytes
-
-    def _gather_weights(
-        self,
-        a: int,
-        engine: int,
-        weight_locations: dict[tuple[int, int], set[int]],
-        buffers: list[EngineBuffer],
-        weight_limit: int,
-        io: _RoundIO,
-        policy: BufferPolicy,
-        t: int,
-    ) -> None:
-        """Source the atom's weight slice: local hit, remote copy, or DRAM."""
-        dag = self.dag
-        wk = dag.weight_key(a)
-        if wk is None:
-            return
-        nbytes = dag.atom_weight_bytes[a]
-        key = weight_entry_key(*wk)
-        holders = weight_locations.get(wk, set())
-        if engine in holders and buffers[engine].contains(key):
-            io.onchip_bytes += nbytes
-            return
-        live_holders = [h for h in sorted(holders) if buffers[h].contains(key)]
-        if live_holders:
-            src = min(
-                live_holders, key=lambda h: self.mesh.hop_distance(h, engine)
-            )
-            io.prefetch_transfers.append(
-                Transfer(src=src, dst=engine, size_bytes=nbytes, tag=f"w{wk}")
-            )
-            io.onchip_bytes += nbytes
-        else:
-            io.prefetch_dram_bytes += nbytes
-            io.prefetch_dram_requests += 1
-            io.offchip_bytes += nbytes
-        if nbytes <= weight_limit:
-            evs = policy.make_room(buffers[engine], nbytes, t)
-            self._apply_evictions(evs, engine, weight_locations, io)
-            if buffers[engine].fits(nbytes):
-                buffers[engine].store(key, nbytes)
-                weight_locations.setdefault(wk, set()).add(engine)
-
-    def _store_output(
-        self,
-        a: int,
-        engine: int,
-        buffers: list[EngineBuffer],
-        policy: BufferPolicy,
-        t: int,
-        atom_location: dict[int, int],
-        weight_locations: dict[tuple[int, int], set[int]],
-        io: _RoundIO,
-    ) -> None:
-        """Retain the atom's output on-chip, or drain results to DRAM."""
-        dag = self.dag
-        nbytes = dag.atom_ofmap_bytes[a]
-        if nbytes == 0:
-            return
-        if not dag.succs[a]:
-            # Network output: drained off-chip, never buffered.
-            io.writeback_bytes += nbytes
-            return
-        if nbytes > buffers[engine].capacity_bytes:
-            # Tile larger than the whole buffer: stream straight to DRAM.
-            io.writeback_bytes += nbytes
-            return
-        evs = policy.make_room(buffers[engine], nbytes, t + 1)
-        self._apply_evictions(evs, engine, weight_locations, io)
-        if buffers[engine].fits(nbytes):
-            buffers[engine].store(a, nbytes)
-            atom_location[a] = engine
-        else:
-            # Even a fully drained buffer cannot hold it: spill immediately.
-            io.writeback_bytes += nbytes
-
-    def _apply_evictions(
-        self,
-        evictions,
-        engine: int,
-        weight_locations: dict[tuple[int, int], set[int]],
-        io: _RoundIO,
-    ) -> None:
-        for ev in evictions:
-            io.writeback_bytes += ev.writeback_bytes
-            if (
-                isinstance(ev.key, tuple)
-                and len(ev.key) == 3
-                and ev.key[0] == "w"
-            ):
-                weight_locations.get((ev.key[1], ev.key[2]), set()).discard(engine)
+def _drop_evicted(
+    evictions: list[Eviction],
+    engine: int,
+    weight_locations: dict[tuple[int, int], set[int]],
+) -> int:
+    """Forget evicted weight copies on ``engine``; return write-back bytes."""
+    writeback = 0
+    for ev in evictions:
+        writeback += ev.writeback_bytes
+        key = ev.key
+        if isinstance(key, tuple) and len(key) == 3 and key[0] == "w":
+            holders = weight_locations.get((key[1], key[2]))
+            if holders:
+                holders.discard(engine)
+    return writeback

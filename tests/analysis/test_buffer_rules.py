@@ -85,5 +85,27 @@ class TestAD402PrematureEviction:
         report = check_buffering(tiny_dag, schedule, placement, 2, 320)
         assert report.fired_rule_ids() == {"AD402"}
         assert report.ok  # warning only
+        # Storing c2_0's output (round 2) then drops c1_1's output, which
+        # looks dead from round 3 but c2_1 (atom 3) still reads it in
+        # round 2: the same-Round case below, flagged as well.
+        first, second = report.by_rule("AD402")
+        assert "needed again in round 2" in first.message
+        assert "entry 1 " in second.message
+        assert "atom 3 of round 2 still reads it" in second.message
+
+    def test_eviction_of_entry_a_later_atom_of_the_round_reads(self, tiny_solution):
+        # Greedy schedule: round 0 = (c1_0, c1_1), round 1 = (c2_0, c2_1)
+        # on engines 0 and 1; both c2 atoms read both c1 outputs.  Storing
+        # c2_0's output on engine 0 (provisioned for round 2) must drop
+        # c1_0's output, which has no reader from round 2 on -- but c2_1,
+        # later in round 1, still reads it and so fetches it from DRAM.
+        dag, schedule, placement = tiny_solution
+        assert schedule.rounds[1].atom_indices == (2, 3)
+        assert placement[2] == 0 and 3 in dag.succs[0]
+        report = check_buffering(dag, schedule, placement, 2, 320)
+        assert report.fired_rule_ids() == {"AD402"}
+        assert report.ok  # warning only
         [diag] = report.by_rule("AD402")
-        assert "round 2" in diag.message
+        assert diag.location == "engine 0"
+        assert "entry 0 " in diag.message
+        assert "atom 3 of round 1 still reads it" in diag.message

@@ -59,6 +59,10 @@ class TestLINT002DagMutation:
     def test_edge_bytes_update(self):
         assert fired(FUTURE + "dag.edge_bytes.update(extra)\n") == {"LINT002"}
 
+    def test_flat_payload_tables(self):
+        assert fired(FUTURE + "dag.pred_bytes[3] = (1, 2)\n") == {"LINT002"}
+        assert fired(FUTURE + "dag.weight_keys.append(None)\n") == {"LINT002"}
+
     def test_atoms_package_exempt(self):
         src = FUTURE + "dag.preds[0] = ()\n"
         assert (

@@ -1,5 +1,7 @@
 """Tests for atomic DAG construction and dependency inference."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.atoms import AtomId, TileSize, build_atomic_dag, uniform_tiling
@@ -154,3 +156,47 @@ class TestHelpers:
         join = g.by_name("join").node_id
         for i in dag.atoms_of_layer(join):
             assert dag.weight_key(i) is None
+
+
+class TestFlatTables:
+    """``pred_bytes``/``weight_keys``: one flat view of edge_bytes/weight_key."""
+
+    @pytest.fixture(params=["residual", "branching"])
+    def built(self, request, residual_graph, branching_graph, kc_model):
+        graph = residual_graph if request.param == "residual" else branching_graph
+        g = _fused(graph)
+        return build_atomic_dag(
+            g, uniform_tiling(g, TileSize(4, 4, 8, 8)), kc_model, batch=2
+        )
+
+    def _lazy_copy(self, dag):
+        # A DAG handed the same arrays without the builder's table derives
+        # both views lazily, the way a hand-built DAG does.
+        return replace(dag, _pred_bytes=None, _weight_keys=None)
+
+    def test_builder_table_matches_edge_bytes(self, built):
+        assert [len(row) for row in built.pred_bytes] == [
+            len(ps) for ps in built.preds
+        ]
+        for a, (ps, row) in enumerate(zip(built.preds, built.pred_bytes)):
+            assert row == tuple(built.edge_bytes[(p, a)] for p in ps)
+
+    def test_builder_table_equals_lazy_derivation(self, built):
+        lazy = self._lazy_copy(built)
+        assert lazy.pred_bytes == built.pred_bytes
+        assert lazy.pred_bytes is not built.pred_bytes
+
+    def test_weight_keys_follow_layer_and_channel_tile(self, built):
+        for a, wk in enumerate(built.weight_keys):
+            atom = built.atoms[a]
+            if built.atom_weight_bytes[a] == 0:
+                assert wk is None
+            else:
+                tile_co = built.grids[atom.layer].tile.co
+                assert wk == (atom.layer, atom.region.c[0] // tile_co)
+            assert built.weight_key(a) == wk
+        assert self._lazy_copy(built).weight_keys == built.weight_keys
+
+    def test_views_are_cached(self, built):
+        assert built.pred_bytes is built.pred_bytes
+        assert built.weight_keys is built.weight_keys

@@ -10,6 +10,15 @@ from repro.config import EnergyConfig, NocConfig
 from repro.noc import Mesh2D, NocModel, NocRoundCost, Torus2D, Transfer
 
 
+def _columns(transfers):
+    """A transfer batch as the parallel src/dst/bytes lists NocModel takes."""
+    return (
+        [t.src for t in transfers],
+        [t.dst for t in transfers],
+        [t.size_bytes for t in transfers],
+    )
+
+
 @pytest.fixture
 def noc():
     return NocModel(
@@ -40,28 +49,28 @@ class TestRoundCost:
     def test_disjoint_transfers_run_in_parallel(self, noc):
         # 0->1 and 14->15 share no link: cost = one transfer's latency.
         ts = [Transfer(0, 1, 64), Transfer(14, 15, 64)]
-        cost = noc.round_cost(ts)
+        cost = noc.round_cost(*_columns(ts))
         assert cost.cycles == noc.transfer_cycles(ts[0])
 
     def test_shared_link_serializes(self, noc):
         # Both flows cross the (0,1) link east: occupancy adds up.
         ts = [Transfer(0, 1, 640), Transfer(0, 2, 640)]
-        cost = noc.round_cost(ts)
+        cost = noc.round_cost(*_columns(ts))
         assert cost.busiest_link_cycles == 2 * 80
         assert cost.cycles >= 160
 
     def test_energy_proportional_to_bit_hops(self, noc):
         ts = [Transfer(0, 3, 100)]  # 3 hops
-        cost = noc.round_cost(ts)
+        cost = noc.round_cost(*_columns(ts))
         assert cost.energy_pj == pytest.approx(8 * 100 * 3 * 0.61)
         assert cost.total_hop_bits == 8 * 100 * 3
 
     def test_empty_round_free(self, noc):
-        cost = noc.round_cost([])
+        cost = noc.round_cost(*_columns([]))
         assert cost.cycles == 0 and cost.energy_pj == 0.0
 
     def test_local_transfers_ignored(self, noc):
-        cost = noc.round_cost([Transfer(4, 4, 10_000)])
+        cost = noc.round_cost(*_columns([Transfer(4, 4, 10_000)]))
         assert cost.cycles == 0 and cost.total_hop_bits == 0
 
 
@@ -118,8 +127,17 @@ class TestVectorizedRoundCostEquivalence:
             )
             for _ in range(rng.randrange(1, 40))
         ]
-        assert model.round_cost(transfers) == _reference_round_cost(
+        assert model.round_cost(*_columns(transfers)) == _reference_round_cost(
             model, transfers
+        )
+        occupancy: dict[tuple[int, int], int] = defaultdict(int)
+        for t in transfers:
+            if t.src != t.dst and t.size_bytes:
+                for link in mesh.route(t.src, t.dst):
+                    occupancy[link] += math.ceil(8 * t.size_bytes / 64)
+        assert model.link_occupancy(*_columns(transfers)) == dict(occupancy)
+        assert model.round_cost(*_columns(transfers)).busiest_link_cycles == max(
+            occupancy.values(), default=0
         )
 
     @pytest.mark.parametrize("mesh", [Mesh2D(4, 4), Torus2D(4, 4)])
@@ -131,7 +149,7 @@ class TestVectorizedRoundCostEquivalence:
             [Transfer(0, 1, 0)],  # empty payload only
             [Transfer(2, 2, 0), Transfer(1, 1, 9)],
         ):
-            assert model.round_cost(transfers) == _reference_round_cost(
+            assert model.round_cost(*_columns(transfers)) == _reference_round_cost(
                 model, transfers
             )
 
@@ -140,8 +158,8 @@ class TestVectorizedRoundCostEquivalence:
         t = Transfer(0, 3, 64)  # corner-to-corner in a 4-wide row
         mesh_cost = NocModel(
             Mesh2D(4, 4), NocConfig(), EnergyConfig()
-        ).round_cost([t])
+        ).round_cost(*_columns([t]))
         torus_cost = NocModel(
             Torus2D(4, 4), NocConfig(), EnergyConfig()
-        ).round_cost([t])
+        ).round_cost(*_columns([t]))
         assert torus_cost.total_hop_bits < mesh_cost.total_hop_bits

@@ -88,7 +88,9 @@ class TestAgainstAnalyticalModel:
             ts = [Transfer(i, (i + 1) % n, 256) for i in range(n)]
         else:
             ts = [Transfer(i, (i * 7 + 3) % n, 128 + 64 * i) for i in range(n)]
-        bound = analytical.round_cost(ts).cycles
+        bound = analytical.round_cost(
+            [t.src for t in ts], [t.dst for t in ts], [t.size_bytes for t in ts]
+        ).cycles
         exact = wormhole.simulate(ts).makespan
         assert bound <= exact
         assert exact <= 4 * bound + 64  # the bound is reasonably tight

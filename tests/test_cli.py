@@ -78,6 +78,30 @@ class TestBenchCheck:
         assert any("bit-exactness" in p for p in problems)
         assert any("winner drifted" in p for p in problems)
 
+    def test_wall_time_regression_names_the_grown_stages(self):
+        from repro.perf_bench import check_against
+
+        reference = dict(
+            self.REFERENCE,
+            stage_seconds={"tiling": 4.0, "sim": 2.0, "mapping": 2.0},
+        )
+        report = self._report(
+            wall_seconds=26.0,
+            stage_seconds={"tiling": 4.1, "sim": 6.0, "mapping": 2.6},
+        )
+        [problem] = check_against(report, reference, 0.25)
+        assert "wall time regressed" in problem
+        assert "sim 6.00s > 2.00s" in problem
+        assert "mapping 2.60s > 2.00s" in problem
+        assert "tiling" not in problem
+
+    def test_stage_growth_alone_passes(self):
+        from repro.perf_bench import check_against
+
+        reference = dict(self.REFERENCE, stage_seconds={"sim": 2.0})
+        report = self._report(wall_seconds=20.0, stage_seconds={"sim": 9.0})
+        assert check_against(report, reference, 0.25) == []
+
     def test_cost_kernel_drift_fails_with_identical_result(self):
         from repro.perf_bench import check_against
 
