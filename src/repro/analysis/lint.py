@@ -85,6 +85,8 @@ DAG_FLAT_ATTRS = frozenset(
         "edge_bytes",
         "pred_bytes",
         "weight_keys",
+        "layer_keys",
+        "atom_rank",
     }
 )
 

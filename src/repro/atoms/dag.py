@@ -59,9 +59,10 @@ class AtomicDAG:
             output the consumer reads (the overlap of its receptive field
             with the producer's region) — the NoC payload of that edge.
 
-    The post-tiling hot paths (simulator, mapper, scheduler) read the two
-    flat views :attr:`pred_bytes` and :attr:`weight_keys` instead of
-    hashing ``(p, a)`` tuples into ``edge_bytes`` per edge.
+    The post-tiling hot paths (simulator, mapper, scheduler) read the flat
+    views :attr:`pred_bytes` and :attr:`weight_keys` instead of hashing
+    ``(p, a)`` tuples into ``edge_bytes`` per edge, and :attr:`layer_keys`
+    and :attr:`atom_rank` instead of reading :class:`Atom` properties.
     """
 
     graph: Graph
@@ -82,6 +83,8 @@ class AtomicDAG:
     _weight_keys: list[tuple[int, int] | None] | None = field(
         default=None, repr=False
     )
+    _layer_keys: list[tuple[int, int]] | None = field(default=None, repr=False)
+    _atom_rank: list[int] | None = field(default=None, repr=False)
 
     @property
     def num_atoms(self) -> int:
@@ -157,6 +160,40 @@ class AtomicDAG:
                 for atom, nbytes in zip(self.atoms, self.atom_weight_bytes)
             ]
         return self._weight_keys
+
+    @property
+    def layer_keys(self) -> list[tuple[int, int]]:
+        """Flat per-atom ``(sample, layer)`` list (see :attr:`pred_bytes`).
+
+        Atoms of one layer and sample share one tuple, so the table holds
+        one small int tuple per layer instance rather than per atom.
+        """
+        if self._layer_keys is None:
+            shared: dict[tuple[int, int], tuple[int, int]] = {}
+            keys = []
+            for atom in self.atoms:
+                key = (atom.atom_id.sample, atom.atom_id.layer)
+                keys.append(shared.setdefault(key, key))
+            self._layer_keys = keys
+        return self._layer_keys
+
+    @property
+    def atom_rank(self) -> list[int]:
+        """Each atom's position in ``(sample, layer, tile index)`` order.
+
+        ``sorted(atoms, key=atom_rank.__getitem__)`` is the scheduler's
+        deterministic order without building an :class:`AtomId` tuple per
+        comparison (see :attr:`pred_bytes` on mutation).
+        """
+        if self._atom_rank is None:
+            atoms = self.atoms
+            rank = [0] * len(atoms)
+            for pos, a in enumerate(
+                sorted(range(len(atoms)), key=lambda i: atoms[i].atom_id)
+            ):
+                rank[a] = pos
+            self._atom_rank = rank
+        return self._atom_rank
 
     def index_of(self, atom_id: AtomId) -> int:
         """Dense index of an atom by identity.

@@ -54,9 +54,9 @@ def _group_by_layer(
 ) -> list[list[int]]:
     """Round atoms grouped by (sample, layer), preserving intra-layer order."""
     groups: dict[tuple[int, int], list[int]] = {}
+    keys = dag.layer_keys
     for a in atoms:
-        atom = dag.atoms[a]
-        groups.setdefault((atom.sample, atom.layer), []).append(a)
+        groups.setdefault(keys[a], []).append(a)
     return list(groups.values())
 
 
@@ -165,8 +165,8 @@ def _greedy_assignment(
     """Assign heaviest-traffic atoms first to their cheapest free engine.
 
     Columns of ``matrix`` follow the Round's zig-zag slot order, so the
-    free-engine scan is a row gather + argmin (first minimum wins, like
-    ``min`` over the ordered free list did).
+    free-engine scan is a ``min`` over the ordered free columns of the
+    atom's row (first minimum wins).
     """
     pred_bytes = dag.pred_bytes
     weight_keys = dag.weight_keys
@@ -181,9 +181,9 @@ def _greedy_assignment(
     remaining = sorted(atoms, key=incoming, reverse=True)
     free = list(range(len(atoms)))  # column indices, in zig-zag slot order
     col_of: dict[int, int] = {}
+    rows = matrix.tolist()
     for a in remaining:
-        row = matrix[row_of[a]]
-        best_col = free[int(np.argmin(row[free]))]
+        best_col = min(free, key=rows[row_of[a]].__getitem__)
         col_of[a] = best_col
         free.remove(best_col)
     # Re-express as an atom ordering over the zig-zag slots.

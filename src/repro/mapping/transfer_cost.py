@@ -22,36 +22,39 @@ from repro.noc.mesh import Mesh2D
 DRAM_HOP_PENALTY = 8
 
 
-def _gather_round_traffic(
+def _round_pulls(
     dag: AtomicDAG,
+    mesh: Mesh2D,
     placement: dict[int, int],
     round_atoms: tuple[int, ...],
     weight_home: dict[tuple[int, int], int] | None,
-) -> tuple[list[int], list[int], list[int], int]:
-    """Flatten one Round's incoming traffic into parallel arrays.
+) -> tuple[np.ndarray, int]:
+    """One Round's incoming bytes as an ``(atom, source engine)`` matrix.
 
-    Returns ``(rows, srcs, nbytes, dram_const)``: one entry per transfer
-    whose source engine is known (``rows[k]`` indexes into ``round_atoms``),
-    plus the slot-independent DRAM constant (spilled predecessors and
-    homeless weight slices, charged :data:`DRAM_HOP_PENALTY` per byte).
+    ``pulls[i, e]`` is the bytes ``round_atoms[i]`` reads from engine
+    ``e`` of ``mesh``: outputs of placed predecessors and, when
+    ``weight_home`` is given, its homed weight slice.  The returned
+    constant is the slot-independent DRAM charge (spilled predecessors
+    and homeless weight slices, :data:`DRAM_HOP_PENALTY` per byte).
+    Every engine in ``placement`` and ``weight_home`` must be one of
+    ``mesh``'s.
     """
-    rows: list[int] = []
-    srcs: list[int] = []
-    sizes: list[int] = []
+    num_engines = mesh.num_engines
+    pulls = [0] * (len(round_atoms) * num_engines)
     const = 0
+    where = placement.get
     preds = dag.preds
     pred_bytes = dag.pred_bytes
     weight_keys = dag.weight_keys
     weight_bytes = dag.atom_weight_bytes
     for i, atom in enumerate(round_atoms):
+        row = i * num_engines
         for p, nbytes in zip(preds[atom], pred_bytes[atom]):
-            src = placement.get(p)
+            src = where(p)
             if src is None:
                 const += DRAM_HOP_PENALTY * nbytes
             else:
-                rows.append(i)
-                srcs.append(src)
-                sizes.append(nbytes)
+                pulls[row + src] += nbytes
         if weight_home is not None:
             wk = weight_keys[atom]
             if wk is not None:
@@ -59,10 +62,9 @@ def _gather_round_traffic(
                 if home is None:
                     const += DRAM_HOP_PENALTY * weight_bytes[atom]
                 else:
-                    rows.append(i)
-                    srcs.append(home)
-                    sizes.append(weight_bytes[atom])
-    return rows, srcs, sizes, const
+                    pulls[row + home] += weight_bytes[atom]
+    matrix = np.array(pulls, dtype=np.int64).reshape(len(round_atoms), num_engines)
+    return matrix, const
 
 
 def round_cost_matrix(
@@ -82,21 +84,12 @@ def round_cost_matrix(
     ``sum(M[row_of[ordered[j]], j]) + const`` — this is what lets the
     mapper price zig-zag, greedy, and all layer permutations off one
     matrix instead of re-walking edges per candidate.
+
+    The matrix is one integer product, :func:`_round_pulls` times the hop
+    distances from every engine to each slot, exact in int64.
     """
-    rows, srcs, sizes, const = _gather_round_traffic(
-        dag, placement, round_atoms, weight_home
-    )
-    matrix = np.zeros((len(round_atoms), len(slots)), dtype=np.int64)
-    if rows:
-        dist = mesh.distance_array()
-        contrib = (
-            dist[np.asarray(srcs, dtype=np.int64)][
-                :, np.asarray(slots, dtype=np.int64)
-            ]
-            * np.asarray(sizes, dtype=np.int64)[:, None]
-        )
-        np.add.at(matrix, np.asarray(rows, dtype=np.int64), contrib)
-    return matrix, const
+    pulls, const = _round_pulls(dag, mesh, placement, round_atoms, weight_home)
+    return pulls @ mesh.distance_array()[:, slots], const
 
 
 def round_transfer_cost(
@@ -126,13 +119,6 @@ def round_transfer_cost(
         position-independent penalty — it costs the same from any engine, so
         it must not bias the slot assignment.
     """
-    rows, srcs, sizes, total = _gather_round_traffic(
-        dag, placement, round_atoms, weight_home
-    )
-    if rows:
-        dist = mesh.distance_array()
-        dsts = [slots[i] for i in rows]
-        total += int(
-            (dist[srcs, dsts] * np.asarray(sizes, dtype=np.int64)).sum()
-        )
-    return total
+    pulls, const = _round_pulls(dag, mesh, placement, round_atoms, weight_home)
+    hops = mesh.distance_array()[:, slots].T
+    return int((pulls * hops).sum()) + const

@@ -21,8 +21,20 @@ from repro.atoms.dag import AtomicDAG
 
 
 @dataclass
+class RoundUndo:
+    """Inverse record of one :meth:`SchedulerState.commit`."""
+
+    chosen: tuple[int, ...]
+    became_ready: tuple[int, ...]
+
+
+@dataclass
 class SchedulerState:
     """Mutable bookkeeping shared by the priority rules and the searchers.
+
+    Every fact the rules query per Round is kept up to date by
+    :meth:`commit` and :meth:`uncommit`, the one mutation path, instead of
+    being recomputed on each query.
 
     Attributes:
         dag: The atomic DAG being scheduled.
@@ -31,7 +43,10 @@ class SchedulerState:
         scheduled: Flags per atom.
         remaining: Count of unscheduled atoms.
         layer_remaining: (sample, layer) -> unscheduled atom count.
-        layer_started: (sample, layer) pairs with at least one atom scheduled.
+        in_progress: (sample, layer) pairs started but not finished.
+        depth_in_progress: Layer depth -> count of in-progress pairs at
+            that depth (depths with none are absent).
+        sample_remaining: Sample -> unscheduled atom count.
         round_of: Round index each scheduled atom ran in (-1 = unscheduled).
         rounds_committed: Rounds committed so far (the next Round's index).
     """
@@ -42,9 +57,13 @@ class SchedulerState:
     scheduled: list[bool] = field(init=False)
     remaining: int = field(init=False)
     layer_remaining: dict[tuple[int, int], int] = field(init=False)
-    layer_started: set[tuple[int, int]] = field(init=False)
+    in_progress: set[tuple[int, int]] = field(init=False)
+    depth_in_progress: dict[int, int] = field(init=False)
+    sample_remaining: dict[int, int] = field(init=False)
     round_of: list[int] = field(init=False)
     rounds_committed: int = field(init=False)
+    _layer_tiles: dict[tuple[int, int], int] = field(init=False, repr=False)
+    _blocking: list[dict[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.indegree = self.dag.indegrees()
@@ -52,62 +71,126 @@ class SchedulerState:
         self.scheduled = [False] * self.dag.num_atoms
         self.remaining = self.dag.num_atoms
         self.layer_remaining = {}
-        for atom in self.dag.atoms:
-            key = (atom.sample, atom.layer)
+        self.sample_remaining = {}
+        for key in self.dag.layer_keys:
             self.layer_remaining[key] = self.layer_remaining.get(key, 0) + 1
-        self.layer_started = set()
+            self.sample_remaining[key[0]] = self.sample_remaining.get(key[0], 0) + 1
+        self._layer_tiles = dict(self.layer_remaining)
+        self.in_progress = set()
+        self.depth_in_progress = {}
         self.round_of = [-1] * self.dag.num_atoms
         self.rounds_committed = 0
+        # One dict per committed Round: the atoms that Round made ready ->
+        # bytes they read from it.  No other ready atom has an input in the
+        # last committed Round, so the top dict answers blocking_bytes.
+        self._blocking = [{}]
+
+    @property
+    def blocking(self) -> dict[int, int]:
+        """Ready atom -> :meth:`blocking_bytes` (absent means 0)."""
+        return self._blocking[-1]
 
     def blocking_bytes(self, atom: int) -> int:
-        """Bytes ``atom`` must receive from the *previous* Round if run now.
+        """Bytes ready ``atom`` must receive from the *previous* Round if run now.
 
         Data produced in the immediately preceding Round cannot be
         prefetched; scheduling such consumers one Round later hides the
         transfer behind compute (the communication term of Algorithm 2's
-        round cost).
+        round cost).  Defined for ready atoms only: an atom that is not
+        ready still waits on inputs and reports 0.
         """
-        last = self.rounds_committed - 1
-        round_of = self.round_of
-        dag = self.dag
-        total = 0
-        for p, nbytes in zip(dag.preds[atom], dag.pred_bytes[atom]):
-            if round_of[p] == last:
-                total += nbytes
-        return total
+        return self._blocking[-1].get(atom, 0)
 
     def current_sample(self) -> int:
         """Smallest sample index with unscheduled atoms (rule 4's 'current')."""
-        pending = [s for (s, _), n in self.layer_remaining.items() if n > 0]
-        return min(pending) if pending else 0
+        return min((s for s, n in self.sample_remaining.items() if n), default=0)
 
-    def commit(self, chosen: tuple[int, ...]) -> None:
+    def _shift(self, atoms: tuple[int, ...], delta: int) -> None:
+        """Move ``atoms`` out of (-1) or back into (+1) the pending set."""
+        moved: dict[tuple[int, int], int] = {}
+        keys = self.dag.layer_keys
+        for a in atoms:
+            key = keys[a]
+            moved[key] = moved.get(key, 0) + delta
+        remaining, counts = self.layer_remaining, self.depth_in_progress
+        for key, change in moved.items():
+            before = remaining[key]
+            after = before + change
+            remaining[key] = after
+            self.sample_remaining[key[0]] += change
+            total = self._layer_tiles[key]
+            started = 0 < after < total
+            if started == (0 < before < total):
+                continue
+            depth = self.dag.layer_depth[key[1]]
+            if started:
+                self.in_progress.add(key)
+                counts[depth] = counts.get(depth, 0) + 1
+            else:
+                self.in_progress.discard(key)
+                counts[depth] -= 1
+                if not counts[depth]:
+                    del counts[depth]
+
+    def commit(self, chosen: tuple[int, ...]) -> RoundUndo:
         """Mark a Round's atoms as executed and grow the ready set.
 
         Successors become ready only after the full Round commits, matching
         Round-synchronized execution.
 
+        Returns:
+            The record :meth:`uncommit` takes to restore the prior state.
+
         Raises:
             ValueError: If a chosen atom is not ready or already scheduled.
         """
+        scheduled, ready, round_of = self.scheduled, self.ready, self.round_of
         for a in chosen:
-            if self.scheduled[a] or a not in self.ready:
+            if scheduled[a] or a not in ready:
                 raise ValueError(f"atom {a} is not schedulable now")
+        t = self.rounds_committed
         for a in chosen:
-            self.scheduled[a] = True
-            self.ready.discard(a)
-            self.remaining -= 1
-            self.round_of[a] = self.rounds_committed
-            atom = self.dag.atoms[a]
-            key = (atom.sample, atom.layer)
-            self.layer_remaining[key] -= 1
-            self.layer_started.add(key)
+            scheduled[a] = True
+            ready.discard(a)
+            round_of[a] = t
+        self._shift(chosen, -1)
+        self.remaining -= len(chosen)
+        indegree, succs = self.indegree, self.dag.succs
+        became_ready: list[int] = []
         for a in chosen:
-            for s in self.dag.succs[a]:
-                self.indegree[s] -= 1
-                if self.indegree[s] == 0 and not self.scheduled[s]:
-                    self.ready.add(s)
-        self.rounds_committed += 1
+            for s in succs[a]:
+                left = indegree[s] - 1
+                indegree[s] = left
+                if not left and not scheduled[s]:
+                    ready.add(s)
+                    became_ready.append(s)
+        preds, pred_bytes = self.dag.preds, self.dag.pred_bytes
+        blocking: dict[int, int] = {}
+        for s in became_ready:
+            total = 0
+            for p, nbytes in zip(preds[s], pred_bytes[s]):
+                if round_of[p] == t:
+                    total += nbytes
+            blocking[s] = total
+        self._blocking.append(blocking)
+        self.rounds_committed = t + 1
+        return RoundUndo(chosen=chosen, became_ready=tuple(became_ready))
+
+    def uncommit(self, undo: RoundUndo) -> None:
+        """Undo the most recent :meth:`commit`, given the record it returned."""
+        self.rounds_committed -= 1
+        self._blocking.pop()
+        ready, indegree, succs = self.ready, self.indegree, self.dag.succs
+        for s in undo.became_ready:
+            ready.discard(s)
+        for a in undo.chosen:
+            for s in succs[a]:
+                indegree[s] += 1
+            self.scheduled[a] = False
+            ready.add(a)
+            self.round_of[a] = -1
+        self._shift(undo.chosen, 1)
+        self.remaining += len(undo.chosen)
 
     def snapshot_key(self) -> frozenset[int]:
         """Hashable identity of the untraversed sub-DAG (the DP Table key)."""
@@ -121,37 +204,34 @@ def classify_ready(state: SchedulerState) -> tuple[list[int], ...]:
 
     Returns:
         Four lists of atom indices (level 1..4), each sorted by
-        (layer, tile index) for determinism.
+        (sample, layer, tile index) for determinism.
     """
     dag = state.dag
     current = state.current_sample()
-    in_progress = {
-        key for key in state.layer_started if state.layer_remaining[key] > 0
-    }
-    active_depths = {dag.layer_depth[layer] for (_, layer) in in_progress}
+    keys = dag.layer_keys
+    layer_depth = dag.layer_depth
+    in_progress = state.in_progress
+    active_depths = state.depth_in_progress
 
     level1: list[int] = []
     level2: list[int] = []
     level3: list[int] = []
     level4: list[int] = []
     for a in state.ready:
-        atom = dag.atoms[a]
-        key = (atom.sample, atom.layer)
-        if atom.sample != current:
+        key = keys[a]
+        if key[0] != current:
             level4.append(a)
         elif key in in_progress:
             level1.append(a)
-        elif dag.layer_depth[atom.layer] in active_depths:
+        elif layer_depth[key[1]] in active_depths:
             level2.append(a)
         else:
             level3.append(a)
-    def order(a: int) -> tuple[int, int, int]:
-        atom = dag.atoms[a]
-        # Sample-major within a level: waves of consecutive samples stay
-        # contiguous, so producer and consumer Rounds keep the same slot
-        # alignment (level 4 holds several pending samples at once).
-        return (atom.sample, atom.layer, atom.atom_id.index)
-
+    # Sample-major (sample, layer, tile index) order within a level: waves
+    # of consecutive samples stay contiguous, so producer and consumer
+    # Rounds keep the same slot alignment (level 4 holds several pending
+    # samples at once).
+    order = dag.atom_rank.__getitem__
     for lst in (level1, level2, level3, level4):
         lst.sort(key=order)
     return level1, level2, level3, level4
@@ -213,11 +293,13 @@ def candidate_combinations(
     # two Rounds ago (their transfers prefetch behind compute), topping up
     # with fresh-dependent atoms only if slots remain.  This is how the DP
     # interleaves batch samples to hide inter-layer halo traffic.
-    mature = [a for a in flat if state.blocking_bytes(a) == 0]
+    blocking = state.blocking
+    mature = [a for a in flat if not blocking.get(a)]
     if mature and len(mature) != len(flat):
         fill = mature[:num_engines]
         if len(fill) < num_engines:
-            fill += [a for a in flat if a not in set(fill)][
+            taken = set(fill)
+            fill += [a for a in flat if a not in taken][
                 : num_engines - len(fill)
             ]
         push(fill)
